@@ -1891,11 +1891,13 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           static_cast<double>(batch_stats.shard_wait_ns) * 1e-9;
       round_stats.shard_hold_seconds =
           static_cast<double>(batch_stats.shard_hold_ns) * 1e-9;
-      if (batch_stats.rows > 0 && batch_stats.shards_touched > 0) {
+      // Against the mean over *every* shard: dividing by the shards the
+      // batch touched would read 1.0 exactly when one hub shard takes all.
+      if (batch_stats.rows > 0) {
         round_stats.shard_imbalance =
             static_cast<double>(batch_stats.max_shard_rows) /
             (static_cast<double>(batch_stats.rows) /
-             static_cast<double>(batch_stats.shards_touched));
+             static_cast<double>(result.facts.shard_count()));
       }
       metrics.shard_commits.Add();
       metrics.shard_max_rows.Observe(

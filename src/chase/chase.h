@@ -152,8 +152,10 @@ struct ChaseRoundStats {
   /// commit tasks spent blocked on (vs holding) shard mutexes.
   double shard_wait_seconds = 0.0;
   double shard_hold_seconds = 0.0;
-  /// Batch imbalance: busiest shard's rows over the mean rows per touched
-  /// shard (1.0 = perfectly balanced; 0 when nothing was batch-inserted).
+  /// Batch imbalance: busiest shard's rows over the mean rows per shard,
+  /// taken over all of the store's shards (1.0 = perfectly balanced; the
+  /// shard count when one shard takes every row; 0 when nothing was
+  /// batch-inserted).
   double shard_imbalance = 0.0;
   /// Ledger snapshot at this round's boundary: capacity-mode bytes per
   /// component (base/mem_ledger.h), including the chase's own scratch.

@@ -438,27 +438,11 @@ TdKProcessResult RunTdKProcess(Vocabulary& vocab, const TdKContext& ctx,
   }
   result.completed = worklist.empty();
 
-  std::vector<ConjunctiveQuery> pruned;
+  IncomparableQuerySet pruned(vocab);
   for (const ConjunctiveQuery& q : collected) {
-    ConjunctiveQuery minimized = MinimizeQuery(vocab, q);
-    bool subsumed = false;
-    for (const ConjunctiveQuery& existing : pruned) {
-      if (Contains(vocab, existing, minimized)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (subsumed) continue;
-    std::vector<ConjunctiveQuery> kept;
-    for (ConjunctiveQuery& existing : pruned) {
-      if (!Contains(vocab, minimized, existing)) {
-        kept.push_back(std::move(existing));
-      }
-    }
-    kept.push_back(std::move(minimized));
-    pruned = std::move(kept);
+    pruned.Insert(MinimizeQuery(vocab, q));
   }
-  result.rewriting = std::move(pruned);
+  result.rewriting = std::move(pruned).TakeQueries();
   return result;
 }
 

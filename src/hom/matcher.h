@@ -16,15 +16,16 @@ namespace frontiers {
 /// of an atom pattern such that every pattern atom lands inside a target
 /// fact set.
 ///
-/// The same engine serves every homomorphism-shaped question in the paper:
+/// The engine serves the instance-scale homomorphism questions of the
+/// paper:
 ///   * CQ evaluation over instances and chase prefixes (`Hom(rho, F)` of
 ///     Definition 5, query satisfaction of Section 2),
-///   * query containment (homomorphisms between queries, Observation 2's
-///     footnote),
 ///   * structure-to-structure homomorphisms and cores (Definitions 19/24),
 /// differing only in *which terms are mappable*: query variables, all
 /// non-fixed domain elements, etc.  Terms outside `mappable` are rigid and
-/// must match themselves.
+/// must match themselves.  Query-to-query homomorphisms (containment and
+/// minimization, Observation 2's footnote) go to the small-query kernel of
+/// hom/query_kernel.h instead, which keeps this class's search order.
 ///
 /// The search picks, at every step, the pattern atom with the fewest
 /// candidate target atoms (using the per-(predicate,position,term) index

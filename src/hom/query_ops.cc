@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "hom/matcher.h"
+#include "hom/query_kernel.h"
 
 namespace frontiers {
 
@@ -70,34 +71,29 @@ std::vector<std::vector<TermId>> EvaluateQuery(const Vocabulary& vocab,
 std::optional<Substitution> QueryHomomorphism(const Vocabulary& vocab,
                                               const ConjunctiveQuery& from,
                                               const ConjunctiveQuery& to) {
-  if (from.answer_vars.size() != to.answer_vars.size()) return std::nullopt;
-  Substitution initial;
-  for (size_t i = 0; i < from.answer_vars.size(); ++i) {
-    TermId f = from.answer_vars[i];
-    TermId t = to.answer_vars[i];
-    // An answer-tuple constant maps only to itself (homomorphisms fix
-    // constants); it never enters the substitution.
-    if (!vocab.IsVariable(f)) {
-      if (f != t) return std::nullopt;
-      continue;
-    }
-    auto it = initial.find(f);
-    if (it != initial.end() && it->second != t) return std::nullopt;
-    initial.emplace(f, t);
+  QueryMatch match;
+  if (!FindQueryHomomorphism(CompiledQuery(vocab, from),
+                             CompiledQuery(vocab, to), CompiledQuery::kNone,
+                             &match)) {
+    return std::nullopt;
   }
-  FactSet target = QueryAsFactSet(to);
-  Matcher matcher(vocab, target);
-  return matcher.Find(from.atoms, MappableVars(vocab, from, false), initial);
+  return Substitution(match.bindings.begin(), match.bindings.end());
 }
 
 bool Contains(const Vocabulary& vocab, const ConjunctiveQuery& phi,
               const ConjunctiveQuery& psi) {
-  return QueryHomomorphism(vocab, phi, psi).has_value();
+  return Contains(CompiledQuery(vocab, phi), CompiledQuery(vocab, psi));
+}
+
+bool Contains(const CompiledQuery& phi, const CompiledQuery& psi) {
+  return FindQueryHomomorphism(phi, psi, CompiledQuery::kNone, nullptr);
 }
 
 bool EquivalentQueries(const Vocabulary& vocab, const ConjunctiveQuery& a,
                        const ConjunctiveQuery& b) {
-  return Contains(vocab, a, b) && Contains(vocab, b, a);
+  const CompiledQuery ca(vocab, a);
+  const CompiledQuery cb(vocab, b);
+  return Contains(ca, cb) && Contains(cb, ca);
 }
 
 ConjunctiveQuery MinimizeQuery(const Vocabulary& vocab,
@@ -113,32 +109,25 @@ ConjunctiveQuery MinimizeQuery(const Vocabulary& vocab,
     }
     current.atoms = std::move(unique);
   }
-  Substitution identity;
-  for (TermId v : current.answer_vars) {
-    if (vocab.IsVariable(v)) identity.emplace(v, v);
-  }
 
+  QueryMatch fold;
   bool changed = true;
   while (changed && current.atoms.size() > 1) {
     changed = false;
-    for (size_t drop = 0; drop < current.atoms.size(); ++drop) {
-      // Target: the query without atom `drop`, viewed as a structure.
-      FactSet target;
-      for (size_t i = 0; i < current.atoms.size(); ++i) {
-        if (i != drop) target.Insert(current.atoms[i]);
-      }
-      Matcher matcher(vocab, target);
-      std::optional<Substitution> fold = matcher.Find(
-          current.atoms, MappableVars(vocab, current, false), identity);
-      if (!fold.has_value()) continue;
+    // `current` is duplicate-free, so its distinct atoms are its atoms.
+    const CompiledQuery compiled(vocab, current);
+    for (uint32_t drop = 0; drop < compiled.num_atoms(); ++drop) {
+      // Target: the query without atom `drop`, an answer-variable-fixing
+      // endomorphism into the rest.
+      if (!FindQueryHomomorphism(compiled, compiled, drop, &fold)) continue;
       // Replace the query by its homomorphic image (a subset of the target,
-      // hence strictly smaller than `current`).
+      // hence strictly smaller than `current`), in pattern atom order.
+      std::vector<uint8_t> taken(current.atoms.size(), 0);
       std::vector<Atom> image;
-      for (const Atom& atom : current.atoms) {
-        Atom mapped = Apply(*fold, atom);
-        if (std::find(image.begin(), image.end(), mapped) == image.end()) {
-          image.push_back(std::move(mapped));
-        }
+      for (uint32_t target : fold.atom_image) {
+        if (taken[target]) continue;
+        taken[target] = 1;
+        image.push_back(current.atoms[target]);
       }
       current.atoms = std::move(image);
       changed = true;
@@ -146,6 +135,34 @@ ConjunctiveQuery MinimizeQuery(const Vocabulary& vocab,
     }
   }
   return current;
+}
+
+IncomparableQuerySet::IncomparableQuerySet(
+    const Vocabulary& vocab, std::vector<ConjunctiveQuery> members)
+    : vocab_(vocab), queries_(std::move(members)) {
+  compiled_.reserve(queries_.size());
+  for (const ConjunctiveQuery& q : queries_) compiled_.emplace_back(vocab_, q);
+}
+
+bool IncomparableQuerySet::Insert(ConjunctiveQuery query) {
+  CompiledQuery compiled(vocab_, query);
+  for (const CompiledQuery& existing : compiled_) {
+    if (Contains(existing, compiled)) return false;
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    if (Contains(compiled, compiled_[i])) continue;
+    if (kept != i) {
+      queries_[kept] = std::move(queries_[i]);
+      compiled_[kept] = std::move(compiled_[i]);
+    }
+    ++kept;
+  }
+  queries_.erase(queries_.begin() + kept, queries_.end());
+  compiled_.erase(compiled_.begin() + kept, compiled_.end());
+  queries_.push_back(std::move(query));
+  compiled_.push_back(std::move(compiled));
+  return true;
 }
 
 }  // namespace frontiers

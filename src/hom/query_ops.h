@@ -6,6 +6,7 @@
 
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "hom/query_kernel.h"
 #include "tgd/conjunctive_query.h"
 #include "tgd/substitution.h"
 
@@ -41,6 +42,10 @@ std::optional<Substitution> QueryHomomorphism(const Vocabulary& vocab,
 bool Contains(const Vocabulary& vocab, const ConjunctiveQuery& phi,
               const ConjunctiveQuery& psi);
 
+/// `Contains` on compiled forms, for callers that check one query against
+/// many: each query is compiled once.
+bool Contains(const CompiledQuery& phi, const CompiledQuery& psi);
+
 /// Mutual containment.
 bool EquivalentQueries(const Vocabulary& vocab, const ConjunctiveQuery& a,
                        const ConjunctiveQuery& b);
@@ -51,6 +56,28 @@ bool EquivalentQueries(const Vocabulary& vocab, const ConjunctiveQuery& a,
 /// keep rewriting sets in the minimal form Theorem 1 requires.
 ConjunctiveQuery MinimizeQuery(const Vocabulary& vocab,
                                const ConjunctiveQuery& query);
+
+/// A pairwise-incomparable set of CQs, the shape Theorem 1 requires of a
+/// rewriting.  Each member is kept beside its compiled form, so a query is
+/// compiled once however many containment checks it takes part in.
+class IncomparableQuerySet {
+ public:
+  /// Starts from `members`, taken as already pairwise incomparable.
+  explicit IncomparableQuerySet(const Vocabulary& vocab,
+                                std::vector<ConjunctiveQuery> members = {});
+
+  /// Inserts `query` unless a member contains it, and removes the members
+  /// it contains.  Returns true if the query was inserted.
+  bool Insert(ConjunctiveQuery query);
+
+  /// The members: survivors in insertion order.
+  std::vector<ConjunctiveQuery> TakeQueries() && { return std::move(queries_); }
+
+ private:
+  const Vocabulary& vocab_;
+  std::vector<ConjunctiveQuery> queries_;
+  std::vector<CompiledQuery> compiled_;  // parallel to queries_
+};
 
 }  // namespace frontiers
 

@@ -77,13 +77,17 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
     return result;
   }
 
+  // Each entry keeps its compiled form beside it, so a disjunct is compiled
+  // once however many containment checks it takes part in.
   struct Entry {
     ConjunctiveQuery q;
+    CompiledQuery compiled;
     bool alive = true;
     bool expanded = false;
   };
   std::vector<Entry> set;
-  set.push_back({MinimizeQuery(vocab_, query), true, false});
+  const ConjunctiveQuery minimized = MinimizeQuery(vocab_, query);
+  set.push_back({minimized, CompiledQuery(vocab_, minimized), true, false});
 
   bool truncated = false;
 
@@ -100,13 +104,14 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
       truncated = true;
       return false;
     }
+    CompiledQuery compiled(vocab_, candidate);
     for (const Entry& entry : set) {
-      if (entry.alive && Contains(vocab_, entry.q, candidate)) {
+      if (entry.alive && Contains(entry.compiled, compiled)) {
         return false;  // an at-least-as-general disjunct already present
       }
     }
     for (Entry& entry : set) {
-      if (entry.alive && Contains(vocab_, candidate, entry.q)) {
+      if (entry.alive && Contains(compiled, entry.compiled)) {
         entry.alive = false;  // candidate is strictly more general
       }
     }
@@ -114,7 +119,7 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
       truncated = true;
       return false;
     }
-    set.push_back({std::move(candidate), true, false});
+    set.push_back({std::move(candidate), std::move(compiled), true, false});
     return true;
   };
 

@@ -51,19 +51,10 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
 
 bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query,
                    Ucq* ucq) {
-  for (const ConjunctiveQuery& existing : ucq->disjuncts) {
-    if (Contains(vocab, existing, query)) return false;
-  }
-  std::vector<ConjunctiveQuery> kept;
-  kept.reserve(ucq->disjuncts.size() + 1);
-  for (ConjunctiveQuery& existing : ucq->disjuncts) {
-    if (!Contains(vocab, query, existing)) {
-      kept.push_back(std::move(existing));
-    }
-  }
-  kept.push_back(std::move(query));
-  ucq->disjuncts = std::move(kept);
-  return true;
+  IncomparableQuerySet set(vocab, std::move(ucq->disjuncts));
+  const bool inserted = set.Insert(std::move(query));
+  ucq->disjuncts = std::move(set).TakeQueries();
+  return inserted;
 }
 
 bool EquivalentUcqs(const Vocabulary& vocab, const Ucq& a, const Ucq& b) {

@@ -69,12 +69,6 @@ bool IsConnected(const Vocabulary& vocab, const ConjunctiveQuery& query) {
   return true;
 }
 
-FactSet QueryAsFactSet(const ConjunctiveQuery& query) {
-  FactSet out;
-  for (const Atom& atom : query.atoms) out.Insert(atom);
-  return out;
-}
-
 std::string QueryToString(const Vocabulary& vocab,
                           const ConjunctiveQuery& query) {
   std::string out;

@@ -43,11 +43,6 @@ std::vector<TermId> ExistentialVariables(const Vocabulary& vocab,
 /// count as connected.
 bool IsConnected(const Vocabulary& vocab, const ConjunctiveQuery& query);
 
-/// Views the query body as a structure whose domain elements are the
-/// query's terms (the standard "CQ as canonical database" move, used for
-/// containment checks; see the footnote below Observation 2).
-FactSet QueryAsFactSet(const ConjunctiveQuery& query);
-
 /// Renders `q(y1,..) :- A(..), B(..)` (or just the body for Boolean CQs).
 std::string QueryToString(const Vocabulary& vocab,
                           const ConjunctiveQuery& query);

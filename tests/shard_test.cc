@@ -177,6 +177,70 @@ TEST(ShardTest, ChaseByteIdenticalAcrossThreadsAndShards) {
   }
 }
 
+// Regression: the imbalance gauge used to divide by the shards a batch
+// touched, so it read 1.0 exactly when one hub shard took every row.  The
+// generator's hub-biased instance, copied in one round, puts most (with
+// every first argument on the hub: all) of the batch on one shard, and the
+// gauge must say so.
+TEST(ShardTest, ImbalanceGaugeSeesHubShard) {
+  struct Case {
+    uint32_t shards;
+    uint32_t hub_chance;  // in eighths
+  };
+  for (const Case& c : {Case{8, 8}, Case{64, 7}}) {
+    SCOPED_TRACE("shards " + std::to_string(c.shards) + " hub " +
+                 std::to_string(c.hub_chance) + "/8");
+    Vocabulary vocab;
+    const Theory theory = ParseTheory(vocab,
+                                      "H(x,y,z) -> HC(x,y,z)\n"
+                                      "K(x,y) -> KC(x,y)",
+                                      "copy").value();
+    const std::vector<PredicateId> signature = {
+        vocab.FindPredicate("H").value(), vocab.FindPredicate("K").value()};
+    InstanceGenOptions instance_options;
+    instance_options.num_constants = 8;
+    instance_options.num_facts = 200;
+    instance_options.hub_chance = c.hub_chance;
+    instance_options.dominant_predicate_chance = c.hub_chance;
+    const FactSet db = Resharded(
+        GenerateInstance(vocab, signature, 17, instance_options), c.shards);
+
+    ChaseOptions options;
+    options.max_rounds = 1;
+    options.threads = 2;
+    options.serial_round_threshold = 0;
+    ChaseEngine engine(vocab, theory);
+    const ChaseResult result = engine.Run(db, options);
+    ASSERT_EQ(result.stats.rounds.size(), 1u);
+    const double gauge = result.stats.rounds.front().shard_imbalance;
+
+    // The round's batch is the copies; a fresh store with as many shards
+    // routes them the same way (routing reads predicate and first term).
+    RowBlock block;
+    for (size_t i = db.size(); i < result.facts.size(); ++i) {
+      const Atom& atom = result.facts.atoms()[i];
+      block.Append(atom.predicate, atom.args.data(),
+                   static_cast<uint32_t>(atom.args.size()));
+    }
+    FactSet fresh(c.shards);
+    std::vector<FactSet::InsertOutcome> outcomes;
+    FactSet::BatchStats stats;
+    fresh.InsertBatchParallel(block, &outcomes, /*pool=*/nullptr, SIZE_MAX,
+                              /*timings=*/nullptr, &stats);
+    ASSERT_EQ(stats.rows, db.size());
+    ASSERT_GT(2 * stats.max_shard_rows, stats.rows)
+        << "the hub-biased instance should put most rows on one shard";
+    EXPECT_LT(stats.shards_touched, c.shards);
+    EXPECT_DOUBLE_EQ(gauge, static_cast<double>(stats.max_shard_rows) /
+                                (static_cast<double>(stats.rows) /
+                                 static_cast<double>(c.shards)));
+    EXPECT_GT(gauge, 1.0);
+    if (stats.shards_touched == 1) {
+      EXPECT_DOUBLE_EQ(gauge, c.shards) << "every row on one shard";
+    }
+  }
+}
+
 // The serial-fallback heuristic (ChaseOptions::serial_round_threshold)
 // changes only ChaseRoundStats::used_threads, never the result.
 TEST(ShardTest, SerialFallbackIsPerfOnly) {

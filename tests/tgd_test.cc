@@ -242,14 +242,6 @@ TEST(QueryTest, ConnectivityThroughConstants) {
   EXPECT_TRUE(IsConnected(vocab, q.value()));
 }
 
-TEST(QueryTest, QueryAsFactSet) {
-  Vocabulary vocab;
-  Result<ConjunctiveQuery> q = ParseQuery(vocab, "R(x,z), G(z,y), R(x,z)");
-  ASSERT_TRUE(q.ok());
-  FactSet f = QueryAsFactSet(q.value());
-  EXPECT_EQ(f.size(), 2u) << "duplicate atoms collapse in the fact view";
-}
-
 // ------------------------------------------------------------- Classify ---
 
 TEST(ClassifyTest, LinearAndDatalog) {
