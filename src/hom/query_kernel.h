@@ -93,9 +93,8 @@ class CompiledQuery {
 struct QueryMatch {
   /// Per distinct pattern atom: the distinct target atom it maps to.
   std::vector<uint32_t> atom_image;
-  /// Per answer position and existential variable of the pattern: the
-  /// variable and its image, in the `Substitution` the Matcher would have
-  /// returned (answer variables first).
+  /// (variable, image) for each answer and existential variable of the
+  /// pattern: the entries of the `Substitution` the Matcher returned.
   std::vector<std::pair<TermId, TermId>> bindings;
 };
 
