@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "base/worker_pool.h"
 
 namespace frontiers {
 
@@ -18,6 +19,23 @@ std::string SkolemBlockKey(const std::vector<SkolemFnId>& fns) {
     key.append(reinterpret_cast<const char*>(&f), sizeof(f));
   }
   return key;
+}
+
+// Requests (and pending terms) per pool task in SkolemRows.
+constexpr size_t kSkolemGrain = 4096;
+
+// Runs `fn(begin, end)` over [0, count) in kSkolemGrain slices, on `pool`
+// when there is more than one slice.
+template <typename Fn>
+void ForSlices(WorkerPool* pool, size_t count, Fn&& fn) {
+  const size_t slices = (count + kSkolemGrain - 1) / kSkolemGrain;
+  if (pool == nullptr || slices < 2) {
+    if (count > 0) fn(size_t{0}, count);
+    return;
+  }
+  pool->Run(slices, [&](size_t i) {
+    fn(i * kSkolemGrain, std::min(count, (i + 1) * kSkolemGrain));
+  });
 }
 
 }  // namespace
@@ -95,22 +113,48 @@ TermId Vocabulary::SkolemTerm(SkolemFnId fn, const std::vector<TermId>& args) {
       "Skolem term arity mismatch for function " + skolem_fns_[fn].signature +
           ": got " + std::to_string(args.size()) + " arguments, expected " +
           std::to_string(skolem_fns_[fn].arity));
-  uint64_t hash = HashIdSpan(fn, args.data(), args.size());
-  TermId next = static_cast<TermId>(terms_.size());
-  TermId id = skolem_term_index_.FindOrInsert(hash, next, [&](TermId t) {
-    return SkolemTermEquals(t, fn, args);
+  const TermId* request = args.data();
+  const PendingTerms pending{static_cast<TermId>(terms_.size()), &request};
+  const TermId id = InternTerm(fn, 0, pending);
+  FillPendingTerms(pending, nullptr);
+  return id;
+}
+
+TermId Vocabulary::InternTerm(SkolemFnId fn, uint32_t request,
+                              const PendingTerms& pending) {
+  const TermId* args = pending.request_args[request];
+  const uint32_t arity = skolem_fns_[fn].arity;
+  const uint64_t hash = HashIdSpan(fn, args, arity);
+  const TermId next = static_cast<TermId>(terms_.size());
+  const TermId id = skolem_term_index_.FindOrInsert(hash, next, [&](TermId t) {
+    return terms_[t].fn == fn &&
+           std::equal(args, args + arity, SkolemArgsOf(t, pending));
   });
   if (id != next) return id;
   TermData data;
   data.kind = TermKind::kSkolem;
+  data.name_index = request;
   data.fn = fn;
-  data.args = args;
-  uint32_t depth = 0;
-  for (TermId a : args) depth = std::max(depth, terms_[a].depth);
-  data.depth = depth + 1;
   terms_.push_back(std::move(data));
-  term_args_bytes_ += static_cast<uint64_t>(args.size()) * sizeof(TermId);
+  term_args_bytes_ += static_cast<uint64_t>(arity) * sizeof(TermId);
   return id;
+}
+
+void Vocabulary::FillPendingTerms(const PendingTerms& pending,
+                                  WorkerPool* pool) {
+  // Each slice writes only its own terms and reads the depths of
+  // arguments, which precede `pending.base`, so slices never race.
+  ForSlices(pool, terms_.size() - pending.base, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      TermData& data = terms_[pending.base + i];
+      const TermId* args = pending.request_args[data.name_index];
+      data.name_index = 0;
+      data.args.assign(args, args + skolem_fns_[data.fn].arity);
+      uint32_t depth = 0;
+      for (TermId a : data.args) depth = std::max(depth, terms_[a].depth);
+      data.depth = depth + 1;
+    }
+  });
 }
 
 uint32_t Vocabulary::SkolemBlock(const std::vector<SkolemFnId>& fns) {
@@ -133,45 +177,108 @@ uint32_t Vocabulary::SkolemBlock(const std::vector<SkolemFnId>& fns) {
 
 const TermId* Vocabulary::SkolemRow(uint32_t block,
                                     const std::vector<TermId>& args) {
-  const SkolemBlockData& data = skolem_blocks_[block];
-  FRONTIERS_CHECK(data.arity == args.size(),
+  FRONTIERS_CHECK(skolem_blocks_[block].arity == args.size(),
                   "Skolem row arity mismatch for block");
+  const TermId* request = args.data();
+  const PendingTerms pending{static_cast<TermId>(terms_.size()), &request};
+  const TermId* row = InternRow(
+      block, 0, HashIdSpan(block, args.data(), args.size()), pending);
+  FillPendingTerms(pending, nullptr);
+  return row;
+}
+
+void Vocabulary::SkolemRows(const std::vector<SkolemRowBatch>& batches,
+                            WorkerPool* pool, std::vector<TermId>* rows) {
+  const TermId base = static_cast<TermId>(terms_.size());
+  std::vector<size_t> first(batches.size() + 1, 0);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    first[b + 1] = first[b] + batches[b].size();
+  }
+  // Hash every request and locate its tuple (pure reads: parallel).
+  std::vector<uint64_t> hashes(first.back());
+  std::vector<const TermId*> request_args(first.back());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const SkolemRowBatch& batch = batches[b];
+    ForSlices(pool, batch.size(), [&](size_t begin, size_t end) {
+      for (size_t m = begin; m < end; ++m) {
+        const uint32_t block = batch.blocks[m];
+        const uint32_t arity = skolem_blocks_[block].arity;
+        const uint32_t offset = batch.arg_offsets[m];
+        const size_t stop =
+            m + 1 < batch.size() ? batch.arg_offsets[m + 1] : batch.args.size();
+        FRONTIERS_CHECK(stop - offset == arity,
+                        "Skolem row arity mismatch for block");
+        const TermId* args = batch.args.data() + offset;
+        for (uint32_t i = 0; i < arity; ++i) {
+          FRONTIERS_CHECK(args[i] < base,
+                          "Skolem row argument is not an interned term");
+        }
+        hashes[first[b] + m] = HashIdSpan(block, args, arity);
+        request_args[first[b] + m] = args;
+      }
+    });
+  }
+  // Probe and insert serially, in request order: this fixes the ids.
+  const PendingTerms pending{base, request_args.data()};
+  rows->clear();
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const SkolemRowBatch& batch = batches[b];
+    for (size_t m = 0; m < batch.size(); ++m) {
+      const uint32_t request = static_cast<uint32_t>(first[b] + m);
+      const TermId* row =
+          InternRow(batch.blocks[m], request, hashes[request], pending);
+      rows->insert(rows->end(), row,
+                   row + skolem_blocks_[batch.blocks[m]].size);
+    }
+  }
+  FillPendingTerms(pending, pool);
+}
+
+const TermId* Vocabulary::InternRow(uint32_t block, uint32_t request,
+                                    uint64_t hash,
+                                    const PendingTerms& pending) {
   // One probe keyed by (block, args).  Rows of the same block share the
   // argument tuple across all their terms, so equality checks the block id
-  // and the first term's argument vector.
-  uint64_t hash = HashIdSpan(block, args.data(), args.size());
-  uint32_t next = static_cast<uint32_t>(skolem_rows_.size());
-  uint32_t row = skolem_row_index_.FindOrInsert(hash, next, [&](uint32_t r) {
-    const SkolemRowData& existing = skolem_rows_[r];
-    return existing.block == block &&
-           terms_[skolem_row_terms_[existing.terms_offset]].args == args;
-  });
+  // and the first term's arguments.
+  const TermId* args = pending.request_args[request];
+  const uint32_t next = static_cast<uint32_t>(skolem_rows_.size());
+  const uint32_t row =
+      skolem_row_index_.FindOrInsert(hash, next, [&](uint32_t r) {
+        return RowEquals(r, block, args, pending);
+      });
   if (row != next) {
     return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
   }
   // Miss: intern each null through the per-term hash-consing table, so the
   // row agrees with any prior `SkolemTerm` calls (isomorphic heads in
   // other rules may already have created some of these terms).
-  uint32_t offset = static_cast<uint32_t>(skolem_row_terms_.size());
+  const SkolemBlockData& data = skolem_blocks_[block];
+  const uint32_t offset = static_cast<uint32_t>(skolem_row_terms_.size());
   const SkolemFnId* fns = skolem_block_fns_.data() + data.fns_offset;
   for (uint32_t i = 0; i < data.size; ++i) {
-    skolem_row_terms_.push_back(SkolemTerm(fns[i], args));
+    skolem_row_terms_.push_back(InternTerm(fns[i], request, pending));
   }
   skolem_rows_.push_back({block, offset});
   return skolem_row_terms_.data() + offset;
 }
 
+bool Vocabulary::RowEquals(uint32_t r, uint32_t block, const TermId* args,
+                           const PendingTerms& pending) const {
+  const SkolemRowData& existing = skolem_rows_[r];
+  if (existing.block != block) return false;
+  const TermId* stored =
+      SkolemArgsOf(skolem_row_terms_[existing.terms_offset], pending);
+  return std::equal(args, args + skolem_blocks_[block].arity, stored);
+}
+
 const TermId* Vocabulary::FindSkolemRow(uint32_t block,
                                         const std::vector<TermId>& args) const {
-  const SkolemBlockData& data = skolem_blocks_[block];
-  FRONTIERS_CHECK(data.arity == args.size(),
+  FRONTIERS_CHECK(skolem_blocks_[block].arity == args.size(),
                   "Skolem row arity mismatch for block");
-  uint64_t hash = HashIdSpan(block, args.data(), args.size());
-  uint32_t row = skolem_row_index_.Find(hash, [&](uint32_t r) {
-    const SkolemRowData& existing = skolem_rows_[r];
-    return existing.block == block &&
-           terms_[skolem_row_terms_[existing.terms_offset]].args == args;
-  });
+  const PendingTerms none{static_cast<TermId>(terms_.size()), nullptr};
+  const uint32_t row = skolem_row_index_.Find(
+      HashIdSpan(block, args.data(), args.size()),
+      [&](uint32_t r) { return RowEquals(r, block, args.data(), none); });
   if (row == IdHashSet::kNotFound) return nullptr;
   return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
 }

@@ -13,6 +13,8 @@
 
 namespace frontiers {
 
+class WorkerPool;  // base/worker_pool.h
+
 /// Identifier of a relation symbol within a Vocabulary.
 using PredicateId = uint32_t;
 /// Identifier of a term (constant, variable, or Skolem term).
@@ -24,6 +26,25 @@ using SkolemFnId = uint32_t;
 inline constexpr TermId kNoTerm = UINT32_MAX;
 /// Sentinel for "no predicate".
 inline constexpr PredicateId kNoPredicate = UINT32_MAX;
+
+/// Skolem-row requests for `Vocabulary::SkolemRows`, in the order they must
+/// be interned: one (block, argument tuple) pair per request, the tuples
+/// back to back in one flat arena.  The chase's parallel commit expansion
+/// fills one batch per chunk with the rows its const probe missed.
+struct SkolemRowBatch {
+  std::vector<uint32_t> blocks;       // per request
+  std::vector<uint32_t> arg_offsets;  // per request: its tuple's start in args
+  std::vector<TermId> args;
+
+  size_t size() const { return blocks.size(); }
+
+  /// Appends a request; `arity` must be the block's arity.
+  void Add(uint32_t block, const TermId* block_args, size_t arity) {
+    blocks.push_back(block);
+    arg_offsets.push_back(static_cast<uint32_t>(args.size()));
+    args.insert(args.end(), block_args, block_args + arity);
+  }
+};
 
 /// The kind of a term.
 enum class TermKind : uint8_t {
@@ -62,9 +83,10 @@ enum class TermKind : uint8_t {
 /// rendering) is safe; any mutating call (`AddPredicate`, `Constant`,
 /// `SkolemTerm`, ...) requires exclusive access.  The chase engine's
 /// parallel match phase honours this by keeping workers read-only and
-/// deferring all Skolem interning to its single-threaded commit phase,
-/// which also keeps TermId assignment deterministic (see DESIGN.md,
-/// "Parallel round pipeline").
+/// deferring all Skolem interning to its commit phase, which also keeps
+/// TermId assignment deterministic (see DESIGN.md, "Parallel round
+/// pipeline").  `SkolemRows` may run pool tasks of its own; its caller
+/// still holds exclusive access for the whole call.
 class Vocabulary {
  public:
   Vocabulary() = default;
@@ -138,15 +160,28 @@ class Vocabulary {
   /// Interns (or finds) the row of Skolem nulls `f_i(args)` for every
   /// `f_i` of `block`, with one probe on the hit path.  Returns a pointer
   /// to `SkolemBlockSize(block)` TermIds, valid until the next mutating
-  /// call on this vocabulary — copy out what you need.
+  /// call on this vocabulary — copy out what you need.  The one-request
+  /// case of `SkolemRows`.
   const TermId* SkolemRow(uint32_t block, const std::vector<TermId>& args);
+
+  /// Interns every request of `batches` — batch by batch, request by
+  /// request — exactly as one `SkolemRow` call per request would: the same
+  /// TermIds, depths and table capacities.  Writes each request's
+  /// `SkolemBlockSize(block)` TermIds back to back into `rows`.  With a
+  /// pool, hashing the requests and filling the new terms' arguments and
+  /// depths run as pool tasks; the probe-and-insert pass that assigns the
+  /// ids stays serial, in request order (DESIGN.md §5, "Deterministic
+  /// renumbering").  Every argument must be a term interned before the
+  /// call.
+  void SkolemRows(const std::vector<SkolemRowBatch>& batches, WorkerPool* pool,
+                  std::vector<TermId>* rows);
 
   /// Pure lookup twin of `SkolemRow`: returns the interned row, or nullptr
   /// if `(block, args)` was never interned.  Const, so safe to call
   /// concurrently from many threads while nothing mutates the vocabulary —
   /// the chase's parallel commit expansion probes here and defers all
-  /// misses to per-thread arenas resolved by a serial renumbering pass
-  /// (DESIGN.md §5, "Sharded commit pipeline").
+  /// misses to one `SkolemRows` call (DESIGN.md §5, "Sharded commit
+  /// pipeline").
   const TermId* FindSkolemRow(uint32_t block,
                               const std::vector<TermId>& args) const;
 
@@ -206,7 +241,10 @@ class Vocabulary {
  private:
   struct TermData {
     TermKind kind;
-    uint32_t name_index = 0;  // for constants/variables: index into names_
+    // For constants/variables: index into names_.  For a Skolem term
+    // created by an interning call still in progress: the request whose
+    // tuple holds its arguments (reset to 0 once `args` is filled).
+    uint32_t name_index = 0;
     SkolemFnId fn = 0;        // for Skolem terms
     std::vector<TermId> args;
     uint32_t depth = 0;
@@ -229,13 +267,34 @@ class Vocabulary {
     uint32_t terms_offset;  // into skolem_row_terms_
   };
 
-  /// True if term `t` is the Skolem term `fn(args...)`.
-  bool SkolemTermEquals(TermId t, SkolemFnId fn,
-                        const std::vector<TermId>& args) const {
-    const TermData& data = terms_[t];
-    return data.kind == TermKind::kSkolem && data.fn == fn &&
-           data.args == args;
+  // The Skolem terms one interning call creates, `terms_[base..]`: their
+  // kind and function are set as they are interned, their arguments and
+  // depth by FillPendingTerms once every probe is done.  Until then their
+  // arguments are read from the call's request tuples.
+  struct PendingTerms {
+    TermId base;
+    const TermId* const* request_args;  // argument tuple of each request
+  };
+
+  // Arguments of Skolem term `t`, pending or filled.
+  const TermId* SkolemArgsOf(TermId t, const PendingTerms& pending) const {
+    return t >= pending.base ? pending.request_args[terms_[t].name_index]
+                             : terms_[t].args.data();
   }
+
+  // The probe core every Skolem interning path shares.  InternTerm finds
+  // or creates `fn(args of request)`; InternRow finds or creates the row
+  // of `block` under the request's tuple, whose hash is `hash`.  Both run
+  // serially; new terms stay pending.
+  TermId InternTerm(SkolemFnId fn, uint32_t request,
+                    const PendingTerms& pending);
+  const TermId* InternRow(uint32_t block, uint32_t request, uint64_t hash,
+                          const PendingTerms& pending);
+  // Row `r` holds `block` applied to `args`.
+  bool RowEquals(uint32_t r, uint32_t block, const TermId* args,
+                 const PendingTerms& pending) const;
+  // Fills arguments and depth of every pending term, on `pool` if given.
+  void FillPendingTerms(const PendingTerms& pending, WorkerPool* pool);
 
   std::vector<PredicateData> predicates_;
   std::unordered_map<std::string, PredicateId> predicate_index_;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -135,18 +136,11 @@ struct ChaseMetrics {
 // Every owning container self-reports exact bytes from its own bookkeeping
 // (base/mem_ledger.h); the chase rolls them up at round boundaries.  Two
 // components live outside FactSet/Vocabulary and are accounted here: the
-// frontier memo (seen_applications) and provenance.  Their *inner* heap —
-// memo key characters, Derivation::parents vectors — is carried by running
-// counters in RunState (a walk per boundary would be O(atoms)); the walks
-// below recompute them from scratch for Resume initialization and for the
-// debug-build incremental-vs-recomputed assert.
-
-uint64_t MemoKeyBytes(const std::unordered_set<std::string>& seen,
-                      MemAccounting mode) {
-  uint64_t sum = 0;
-  for (const std::string& key : seen) sum += StringHeapBytes(key, mode);
-  return sum;
-}
+// frontier memo (seen_applications, which reports its own bytes) and
+// provenance.  Provenance's *inner* heap — Derivation::parents vectors — is
+// carried by running counters in RunState (a walk per boundary would be
+// O(atoms)); the walk below recomputes it from scratch for Resume
+// initialization and for the debug-build incremental-vs-recomputed assert.
 
 uint64_t ProvInnerBytes(const ChaseResult& result, MemAccounting mode) {
   uint64_t sum = 0;
@@ -160,22 +154,17 @@ uint64_t ProvInnerBytes(const ChaseResult& result, MemAccounting mode) {
   return sum;
 }
 
-// Full ledger of a chase state, with the memo/provenance inner bytes
-// supplied by the caller (either the incremental counters or the walks
-// above).  Everything except kScratch, which belongs to an engine's
-// in-flight round.
+// Full ledger of a chase state, with the provenance inner bytes supplied
+// by the caller (either the incremental counters or the walk above).
+// Everything except kScratch, which belongs to an engine's in-flight round.
 MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
                                   const Vocabulary& vocab, MemAccounting mode,
-                                  uint64_t memo_key_bytes,
                                   uint64_t prov_inner_bytes) {
   MemTotals totals;
   result.facts.AccountHeap(totals, mode);
   vocab.AccountHeap(totals, mode);
   totals.Add(MemComponent::kFrontierMemo,
-             memo_key_bytes +
-                 UnorderedOverheadBytes(result.seen_applications.bucket_count(),
-                                        result.seen_applications.size(),
-                                        sizeof(std::string), mode));
+             result.seen_applications.HeapBytes(mode));
   totals.Add(
       MemComponent::kProvenance,
       prov_inner_bytes + VectorHeapBytes(result.depth, mode) +
@@ -200,8 +189,103 @@ MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
 MemTotals ComputeChaseMemTotals(const ChaseResult& result,
                                 const Vocabulary& vocab, MemAccounting mode) {
   return ChaseMemTotalsFromParts(result, vocab, mode,
-                                 MemoKeyBytes(result.seen_applications, mode),
                                  ProvInnerBytes(result, mode));
+}
+
+namespace {
+
+// Encodes (rule, head-universal binding tuple) as raw bytes: the snapshot
+// wire form of a trigger-memo key, byte-for-byte the encoding of every
+// earlier FRSN version.
+std::string FrontierKey(size_t rule_index, const TermId* bindings,
+                        size_t width) {
+  std::string key;
+  key.reserve(sizeof(rule_index) + sizeof(TermId) * width);
+  key.append(reinterpret_cast<const char*>(&rule_index), sizeof(rule_index));
+  key.append(reinterpret_cast<const char*>(bindings), sizeof(TermId) * width);
+  return key;
+}
+
+}  // namespace
+
+bool TriggerMemo::Insert(size_t rule, const std::vector<TermId>& bindings) {
+  if (rule >= tables_.size()) tables_.resize(rule + 1);
+  Table& table = tables_[rule];
+  if (table.rows == 0) table.width = static_cast<uint32_t>(bindings.size());
+  FRONTIERS_CHECK(bindings.size() == table.width,
+                  "trigger memo: rule " + std::to_string(rule) +
+                      " used at two binding widths");
+  const uint64_t hash = HashIdSpan(static_cast<uint32_t>(rule),
+                                   bindings.data(), bindings.size());
+  const uint32_t row =
+      table.index.FindOrInsert(hash, table.rows, [&](uint32_t r) {
+        return std::equal(bindings.begin(), bindings.end(),
+                          table.arena.begin() + size_t{r} * table.width);
+      });
+  if (row != table.rows) return false;
+  table.arena.insert(table.arena.end(), bindings.begin(), bindings.end());
+  ++table.rows;
+  ++size_;
+  return true;
+}
+
+bool TriggerMemo::Erase(size_t rule, const std::vector<TermId>& bindings) {
+  if (rule >= tables_.size()) return false;
+  Table& table = tables_[rule];
+  if (table.rows == 0 || bindings.size() != table.width) return false;
+  const uint32_t width = table.width;
+  const uint64_t hash =
+      HashIdSpan(static_cast<uint32_t>(rule), bindings.data(), width);
+  const uint32_t row = table.index.Find(hash, [&](uint32_t r) {
+    return std::equal(bindings.begin(), bindings.end(),
+                      table.arena.begin() + size_t{r} * width);
+  });
+  if (row == IdHashSet::kNotFound) return false;
+  table.index.Erase(hash, [row](uint32_t r) { return r == row; });
+  // Keep the arena dense: the last row moves into the hole.
+  const uint32_t last = table.rows - 1;
+  if (row != last) {
+    TermId* last_row = table.arena.data() + size_t{last} * width;
+    table.index.ReplaceId(
+        HashIdSpan(static_cast<uint32_t>(rule), last_row, width),
+        [last](uint32_t r) { return r == last; }, row);
+    std::copy(last_row, last_row + width,
+              table.arena.data() + size_t{row} * width);
+  }
+  table.arena.resize(size_t{last} * width);
+  --table.rows;
+  --size_;
+  return true;
+}
+
+std::vector<std::string> TriggerMemo::SortedKeys() const {
+  std::vector<std::string> keys;
+  keys.reserve(size_);
+  for (size_t rule = 0; rule < tables_.size(); ++rule) {
+    const Table& table = tables_[rule];
+    for (uint32_t r = 0; r < table.rows; ++r) {
+      keys.push_back(FrontierKey(
+          rule, table.arena.data() + size_t{r} * table.width, table.width));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+uint64_t TriggerMemo::HeapBytes(MemAccounting mode) const {
+  // The table vector itself is capacity-only: its length follows the
+  // highest rule ever inserted, which an erase does not undo.
+  uint64_t bytes = mode == MemAccounting::kCapacity
+                       ? VectorHeapBytes(tables_, mode)
+                       : 0;
+  for (const Table& table : tables_) {
+    bytes += VectorHeapBytes(table.arena, mode) + table.index.HeapBytes(mode);
+  }
+  return bytes;
+}
+
+bool TriggerMemo::operator==(const TriggerMemo& other) const {
+  return size_ == other.size_ && SortedKeys() == other.SortedKeys();
 }
 
 const char* ChaseStopName(ChaseStop stop) {
@@ -656,36 +740,23 @@ namespace {
 // DESIGN.md, "Parallel round pipeline").  The match substitution is
 // projected onto the rule's head-universal variables (`commit_vars`) — a
 // flat tuple instead of a hash map — which is all the commit phase needs:
-// it serves the frontier key, the Skolem arguments, the head expansion,
-// and the restricted recheck.
+// the rule plus this tuple is the application's trigger-memo key (equal
+// keys produce identical head atoms), and the tuple also serves the Skolem
+// arguments, the head expansion, and the restricted recheck.
 struct StagedApplication {
   size_t rule_index;
   std::vector<TermId> bindings;
   std::vector<uint32_t> parents;
-  // Identity of the application under semi-oblivious naming: the rule plus
-  // the binding tuple (equal keys produce identical head atoms).  Built in
-  // the parallel phase; the commit phase keeps only the first application
-  // per key.  Empty when dedup is off.
-  std::string frontier_key;
 };
 
 // Byte estimate of one staged application, for the mid-round budget check.
-size_t ApproxStagedBytes(const StagedApplication& app) {
-  return 96 + 8 * app.bindings.size() + 4 * app.parents.size() +
-         app.frontier_key.size();
-}
-
-// Encodes (rule, head-universal binding tuple) as raw bytes; byte-for-byte
-// the same encoding the sigma-projecting version produced, so snapshots
-// with `seen_applications` sets interoperate across engine versions.
-std::string FrontierKey(size_t rule_index,
-                        const std::vector<TermId>& bindings) {
-  std::string key;
-  key.reserve(sizeof(rule_index) + sizeof(TermId) * bindings.size());
-  key.append(reinterpret_cast<const char*>(&rule_index), sizeof(rule_index));
-  key.append(reinterpret_cast<const char*>(bindings.data()),
-             sizeof(TermId) * bindings.size());
-  return key;
+// With the memo on, each application also counts its memo key's wire size
+// (the rule index plus the binding tuple).
+size_t ApproxStagedBytes(const StagedApplication& app, bool memo) {
+  const size_t key_bytes =
+      memo ? sizeof(app.rule_index) + sizeof(TermId) * app.bindings.size()
+           : 0;
+  return 96 + 8 * app.bindings.size() + 4 * app.parents.size() + key_bytes;
 }
 
 // One unit of match-enumeration work.  Units are planned in the sequential
@@ -735,13 +806,9 @@ struct ChaseEngine::RunState {
   // Capacity-mode high-water over all round boundaries of the *logical*
   // run (restored from the snapshot on resume).
   uint64_t peak_bytes = 0;
-  // Incremental inner-heap counters for the two chase-owned components,
-  // kept exactly in sync with seen_applications / the derivation vectors
-  // (asserted against full walks at every boundary in debug builds).  The
-  // memo counters need both modes: libstdc++ string reserve may round a
-  // key's capacity up, so capacity and content diverge for some keys.
-  uint64_t memo_key_capacity = 0;
-  uint64_t memo_key_content = 0;
+  // Incremental inner-heap counters for provenance, kept exactly in sync
+  // with the derivation vectors (asserted against a full walk at every
+  // boundary in debug builds).
   uint64_t prov_inner_capacity = 0;
   uint64_t prov_inner_content = 0;
 };
@@ -837,8 +904,34 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   for (const auto& [term, atom] : snapshot.birth_atoms) {
     result.birth_atom.emplace(term, atom);
   }
+  // Parse the memo keys back from their wire form, checking each against
+  // this engine's rules and vocabulary like the atoms above.
+  std::vector<TermId> key_bindings;
   for (const std::string& key : snapshot.seen_applications) {
-    result.seen_applications.insert(key);
+    size_t rule = 0;
+    FRONTIERS_CHECK(key.size() >= sizeof(rule),
+                    "snapshot memo key is shorter than a rule index");
+    std::memcpy(&rule, key.data(), sizeof(rule));
+    FRONTIERS_CHECK(rule < theory_.rules.size(),
+                    "snapshot memo key names rule " + std::to_string(rule) +
+                        " of a theory with " +
+                        std::to_string(theory_.rules.size()));
+    const size_t width = commit_layouts_[rule].commit_vars.size();
+    FRONTIERS_CHECK(key.size() == sizeof(rule) + sizeof(TermId) * width,
+                    "snapshot memo key of rule " + std::to_string(rule) +
+                        " has " + std::to_string(key.size()) +
+                        " bytes, expected " +
+                        std::to_string(sizeof(rule) + sizeof(TermId) * width));
+    key_bindings.resize(width);
+    std::memcpy(key_bindings.data(), key.data() + sizeof(rule),
+                sizeof(TermId) * width);
+    for (TermId t : key_bindings) {
+      FRONTIERS_CHECK(t < vocab_.NumTerms(),
+                      "snapshot memo key references unknown term " +
+                          std::to_string(t));
+    }
+    FRONTIERS_CHECK(result.seen_applications.Insert(rule, key_bindings),
+                    "snapshot contains a duplicate memo key");
   }
   result.stats.rounds = snapshot.round_stats;
   result.stats.total_seconds = snapshot.total_seconds;
@@ -847,25 +940,24 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   // Rebuild the incremental ledger counters from the reconstructed state
   // with one walk each (kept in sync incrementally from here on), and
   // restore the logical run's capacity high-water mark from the snapshot.
-  state.memo_key_capacity =
-      MemoKeyBytes(result.seen_applications, MemAccounting::kCapacity);
-  state.memo_key_content =
-      MemoKeyBytes(result.seen_applications, MemAccounting::kContent);
   state.prov_inner_capacity = ProvInnerBytes(result, MemAccounting::kCapacity);
   state.prov_inner_content = ProvInnerBytes(result, MemAccounting::kContent);
   state.live_bytes =
       ChaseMemTotalsFromParts(result, vocab_, MemAccounting::kContent,
-                              state.memo_key_content, state.prov_inner_content)
+                              state.prov_inner_content)
           .TrackedTotal();
   state.peak_bytes = snapshot.peak_bytes;
   // Content-mode accounting is a pure function of logical state, so the
   // reconstruction must land on the snapshotted figure byte-for-byte —
-  // the determinism contract of DESIGN.md §9.
-  FRONTIERS_CHECK(snapshot.approx_bytes == state.live_bytes,
-                  "snapshot approx_bytes (" +
-                      std::to_string(snapshot.approx_bytes) +
-                      ") disagrees with the reconstructed ledger total (" +
-                      std::to_string(state.live_bytes) + ")");
+  // the determinism contract of DESIGN.md §9.  A v2 snapshot's figure
+  // predates the id-keyed memo's ledger, so it is recomputed, not checked.
+  if (snapshot.format_version >= 3) {
+    FRONTIERS_CHECK(snapshot.approx_bytes == state.live_bytes,
+                    "snapshot approx_bytes (" +
+                        std::to_string(snapshot.approx_bytes) +
+                        ") disagrees with the reconstructed ledger total (" +
+                        std::to_string(state.live_bytes) + ")");
+  }
 
   // A fixpoint run is already complete; re-entering the loop would append a
   // spurious empty round to the stats.
@@ -875,7 +967,6 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
     result.approx_bytes = state.live_bytes;
     const uint64_t cap_total =
         ChaseMemTotalsFromParts(result, vocab_, MemAccounting::kCapacity,
-                                state.memo_key_capacity,
                                 state.prov_inner_capacity)
             .TrackedTotal();
     result.peak_bytes = std::max(state.peak_bytes, cap_total);
@@ -971,17 +1062,16 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
   // ledger modes from the containers' own bookkeeping: the content total
   // becomes `live_bytes` (the byte-budget quantity — thread- and
   // resume-invariant), the capacity total feeds the peak, the
-  // `frontiers.mem.*` gauges, and the frontiers-mem-v1 stream.  The memo
-  // and provenance inner bytes come from RunState's incremental counters;
-  // debug builds assert them against full walks here (the incremental ==
+  // `frontiers.mem.*` gauges, and the frontiers-mem-v1 stream.  The
+  // provenance inner bytes come from RunState's incremental counters;
+  // debug builds assert them against a full walk here (the incremental ==
   // recomputed contract of DESIGN.md §9).
   const uint64_t mem_run =
       obs::memhooks::MemEnabled() ? obs::memhooks::BeginMemRun() : 0;
   auto account_boundary = [&](uint32_t completed_rounds,
                               bool emit_stream) -> MemTotals {
     MemTotals cap = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kCapacity, state.memo_key_capacity,
-        state.prov_inner_capacity);
+        result, vocab_, MemAccounting::kCapacity, state.prov_inner_capacity);
     // The chase's own persistent scratch, on top of FactSet's batch
     // scratch (already under kScratch): thread-dependent, diagnostic only.
     cap.Add(MemComponent::kScratch,
@@ -992,8 +1082,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                 VectorHeapBytes(delta_atoms, MemAccounting::kCapacity) +
                 VectorHeapBytes(delta_terms, MemAccounting::kCapacity));
     const MemTotals con = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kContent, state.memo_key_content,
-        state.prov_inner_content);
+        result, vocab_, MemAccounting::kContent, state.prov_inner_content);
     state.live_bytes = con.TrackedTotal();
     const uint64_t tracked = cap.TrackedTotal();
     if (tracked > state.peak_bytes) state.peak_bytes = tracked;
@@ -1383,12 +1472,10 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
             app.parents.push_back(*idx);
           }
         }
-        if (!options.record_all_derivations) {
-          app.frontier_key = FrontierKey(unit.rule_index, app.bindings);
-        }
         if (governed) {
-          staged_bytes.fetch_add(ApproxStagedBytes(app),
-                                 std::memory_order_relaxed);
+          staged_bytes.fetch_add(
+              ApproxStagedBytes(app, !options.record_all_derivations),
+              std::memory_order_relaxed);
         }
         out.staged.push_back(std::move(app));
         return true;
@@ -1632,6 +1719,20 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       }
     };
 
+    // The trigger memo, shared by both commit paths.  Probed serially in
+    // staged order, so the first application of each (rule, binding) key
+    // wins; later ones count as deduped.  Off while record_all_derivations
+    // needs every derivation.
+    const bool memo_on = !options.record_all_derivations;
+    auto first_trigger = [&](const StagedApplication& app) {
+      if (!memo_on ||
+          result.seen_applications.Insert(app.rule_index, app.bindings)) {
+        return true;
+      }
+      ++round_stats.deduped;
+      return false;
+    };
+
     if (options.variant == ChaseVariant::kRestricted) {
       // The restricted recheck needs every earlier application of this
       // round already inserted, so commits stay one application at a time.
@@ -1640,26 +1741,8 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       Matcher commit_matcher(vocab_, result.facts);
       RowBlock app_rows;
       Substitution head_initial;
-      if (!options.record_all_derivations) {
-        result.seen_applications.reserve(result.seen_applications.size() +
-                                         staged.size());
-      }
-      for (StagedApplication& app : staged) {
-        if (!options.record_all_derivations) {
-          // Measured before the move (the set takes the string's buffer,
-          // capacity and all, so the figures survive the insert intact).
-          const uint64_t key_cap =
-              StringHeapBytes(app.frontier_key, MemAccounting::kCapacity);
-          const uint64_t key_content =
-              StringHeapBytes(app.frontier_key, MemAccounting::kContent);
-          if (!result.seen_applications.insert(std::move(app.frontier_key))
-                   .second) {
-            ++round_stats.deduped;
-            continue;
-          }
-          state.memo_key_capacity += key_cap;
-          state.memo_key_content += key_content;
-        }
+      for (const StagedApplication& app : staged) {
+        if (!first_trigger(app)) continue;
         const CommitLayout& layout = commit_layouts_[app.rule_index];
         head_initial.clear();
         for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
@@ -1700,11 +1783,11 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
     } else {
       // Semi-oblivious: set-at-a-time, pipelined (DESIGN.md §5, "Sharded
       // commit pipeline").  Phase 1a (serial) walks the merged staging
-      // order through the frontier memo; phase 1b expands surviving
+      // order through the trigger memo; phase 1b expands surviving
       // applications into one columnar pending block — in parallel chunks
       // when the round is wide, probing interned Skolem rows through the
-      // const lookup and renumbering misses serially so TermId assignment
-      // stays in staged order; phase 2 bulk-inserts the block through the
+      // const lookup and interning the misses in one batch whose ids
+      // follow staged order; phase 2 bulk-inserts the block through the
       // sharded parallel commit; phase 3 replays the per-row outcomes for
       // depth/provenance/birth bookkeeping.  Every phase preserves the
       // merged staging order, so the result is byte-identical to
@@ -1715,26 +1798,8 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       pending.Clear();
       surviving.clear();
       surviving.reserve(staged.size());
-      if (!options.record_all_derivations) {
-        result.seen_applications.reserve(result.seen_applications.size() +
-                                         staged.size());
-      }
       for (uint32_t s = 0; s < staged.size(); ++s) {
-        StagedApplication& app = staged[s];
-        if (!options.record_all_derivations) {
-          const uint64_t key_cap =
-              StringHeapBytes(app.frontier_key, MemAccounting::kCapacity);
-          const uint64_t key_content =
-              StringHeapBytes(app.frontier_key, MemAccounting::kContent);
-          if (!result.seen_applications.insert(std::move(app.frontier_key))
-                   .second) {
-            ++round_stats.deduped;
-            continue;
-          }
-          state.memo_key_capacity += key_cap;
-          state.memo_key_content += key_content;
-        }
-        surviving.push_back(s);
+        if (first_trigger(staged[s])) surviving.push_back(s);
       }
       // Placeholder TermIds for Skolem rows not yet interned live above
       // this bit; real ids stay below it (guarded before going parallel).
@@ -1750,29 +1815,26 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       } else {
         // Workers expand contiguous chunks of the surviving order with the
         // const Skolem-row probe; an application tuple never interned
-        // before gets a chunk-local placeholder row recorded in the
-        // chunk's arena.  Nothing mutates the vocabulary until the serial
-        // renumbering pass below.
-        struct ExpandChunk {
-          RowBlock rows;
-          std::vector<uint32_t> miss_blocks;           // Skolem block per miss
-          std::vector<std::vector<TermId>> miss_args;  // fn args per miss
-          std::vector<uint32_t> miss_offsets;  // placeholder base per miss
-          uint32_t placeholder_count = 0;
-        };
+        // before gets a chunk-local placeholder row and a request in the
+        // chunk's miss batch.  Nothing mutates the vocabulary until the
+        // batch intern below.
         const size_t chunk_size = std::max<size_t>(
             1, (surviving.size() + round_threads * 4 - 1) /
                    (round_threads * 4));
         const size_t num_chunks =
             (surviving.size() + chunk_size - 1) / chunk_size;
-        std::vector<ExpandChunk> chunks(num_chunks);
+        std::vector<RowBlock> chunk_rows(num_chunks);
+        std::vector<SkolemRowBatch> chunk_misses(num_chunks);
+        std::vector<uint32_t> chunk_placeholders(num_chunks, 0);
         // Per-chunk busy time feeds the round's work/span accounting; each
         // chunk writes only its own slot.
         std::vector<uint64_t> chunk_busy_ns(num_chunks, 0);
         const Clock::time_point chunks_start = Clock::now();
         pool->Run(num_chunks, [&](size_t c) {
           const uint64_t chunk_start_ns = obs::internal::NowNanos();
-          ExpandChunk& chunk = chunks[c];
+          RowBlock& rows = chunk_rows[c];
+          SkolemRowBatch& misses = chunk_misses[c];
+          uint32_t& placeholders = chunk_placeholders[c];
           std::vector<TermId> fn_args;
           std::vector<TermId> placeholder_row;
           const size_t begin = c * chunk_size;
@@ -1790,19 +1852,18 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
               if (nulls == nullptr) {
                 const uint32_t size =
                     vocab_.SkolemBlockSize(layout.skolem_block);
-                chunk.miss_blocks.push_back(layout.skolem_block);
-                chunk.miss_args.push_back(fn_args);
-                chunk.miss_offsets.push_back(chunk.placeholder_count);
+                misses.Add(layout.skolem_block, fn_args.data(),
+                           fn_args.size());
                 placeholder_row.clear();
                 for (uint32_t i = 0; i < size; ++i) {
                   placeholder_row.push_back(kLocalTermBit |
-                                            (chunk.placeholder_count + i));
+                                            (placeholders + i));
                 }
-                chunk.placeholder_count += size;
+                placeholders += size;
                 nulls = placeholder_row.data();
               }
             }
-            AppendHeadRows(app.rule_index, app.bindings, nulls, &chunk.rows);
+            AppendHeadRows(app.rule_index, app.bindings, nulls, &rows);
           }
           chunk_busy_ns[c] = obs::internal::NowNanos() - chunk_start_ns;
         });
@@ -1817,38 +1878,43 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           add_region(chunks_wall, static_cast<double>(work_ns) * 1e-9,
                      static_cast<double>(longest_ns) * 1e-9);
         }
-        // Serial renumbering: chunks partition the staged order
-        // contiguously, so interning each chunk's misses in chunk order
-        // reproduces exactly the lazy intern order of the serial engine —
-        // identical TermIds at every thread count.  (SkolemRow is
-        // idempotent, so a tuple missed by several chunks interns once, at
-        // its first staged occurrence.)
-        for (ExpandChunk& chunk : chunks) {
-          std::vector<TermId> resolved(chunk.placeholder_count);
-          for (size_t m = 0; m < chunk.miss_blocks.size(); ++m) {
-            const TermId* row =
-                vocab_.SkolemRow(chunk.miss_blocks[m], chunk.miss_args[m]);
-            const uint32_t size =
-                vocab_.SkolemBlockSize(chunk.miss_blocks[m]);
-            for (uint32_t i = 0; i < size; ++i) {
-              resolved[chunk.miss_offsets[m] + i] = row[i];
-            }
-          }
-          for (TermId& t : chunk.rows.terms) {
-            if (t & kLocalTermBit) t = resolved[t & ~kLocalTermBit];
-          }
-          if (pending.offsets.empty()) pending.offsets.push_back(0);
-          const uint32_t term_base =
-              static_cast<uint32_t>(pending.terms.size());
-          pending.predicates.insert(pending.predicates.end(),
-                                    chunk.rows.predicates.begin(),
-                                    chunk.rows.predicates.end());
-          pending.terms.insert(pending.terms.end(), chunk.rows.terms.begin(),
-                               chunk.rows.terms.end());
-          for (size_t r = 1; r < chunk.rows.offsets.size(); ++r) {
-            pending.offsets.push_back(term_base + chunk.rows.offsets[r]);
-          }
+        // Batch intern: chunks partition the staged order contiguously, so
+        // interning their misses chunk by chunk reproduces exactly the lazy
+        // intern order of the serial engine — identical TermIds at every
+        // thread count.  (A tuple missed by several chunks interns once, at
+        // its first staged occurrence.)  `resolved` holds the rows back to
+        // back, i.e. indexed by chunk placeholder base + local placeholder.
+        std::vector<TermId> resolved;
+        vocab_.SkolemRows(chunk_misses, pool, &resolved);
+        // Lay the chunks out in pending at their staged-order positions and
+        // resolve placeholders while copying; chunks write disjoint ranges.
+        std::vector<size_t> row_base(num_chunks + 1, 0);
+        std::vector<size_t> term_base(num_chunks + 1, 0);
+        std::vector<size_t> placeholder_base(num_chunks + 1, 0);
+        for (size_t c = 0; c < num_chunks; ++c) {
+          row_base[c + 1] = row_base[c] + chunk_rows[c].rows();
+          term_base[c + 1] = term_base[c] + chunk_rows[c].terms.size();
+          placeholder_base[c + 1] = placeholder_base[c] + chunk_placeholders[c];
         }
+        pending.predicates.resize(row_base[num_chunks]);
+        pending.offsets.resize(row_base[num_chunks] + 1);
+        pending.offsets[0] = 0;
+        pending.terms.resize(term_base[num_chunks]);
+        pool->Run(num_chunks, [&](size_t c) {
+          const RowBlock& rows = chunk_rows[c];
+          std::copy(rows.predicates.begin(), rows.predicates.end(),
+                    pending.predicates.begin() + row_base[c]);
+          for (size_t r = 1; r < rows.offsets.size(); ++r) {
+            pending.offsets[row_base[c] + r] =
+                static_cast<uint32_t>(term_base[c] + rows.offsets[r]);
+          }
+          TermId* out = pending.terms.data() + term_base[c];
+          const TermId* chunk_resolved = resolved.data() + placeholder_base[c];
+          for (TermId t : rows.terms) {
+            *out++ = (t & kLocalTermBit) ? chunk_resolved[t & ~kLocalTermBit]
+                                         : t;
+          }
+        });
         FRONTIERS_CHECK(vocab_.NumTerms() < kLocalTermBit,
                         "chase: TermId space reached the placeholder bit");
       }
@@ -1912,26 +1978,16 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                batch_fired_before ||
            failpoint::FiredCount("fact_set.shard_commit") !=
                shard_fired_before)) {
-        // Roll back phase 1's dedup-memo inserts so the state is exactly
-        // the previous round boundary.  (Skolem rows interned by ExpandHead
+        // Roll back phase 1's memo inserts so the state is exactly the
+        // previous round boundary.  (Skolem rows interned by the expansion
         // stay in the vocabulary; hash-consing re-interns them to identical
-        // TermIds on resume, so they are harmless.)  The keys were moved
-        // into the memo, but FrontierKey reproduces the same bytes from the
-        // surviving applications' bindings.
-        for (uint32_t s : surviving) {
-          const StagedApplication& app = staged[s];
-          const std::string key = FrontierKey(app.rule_index, app.bindings);
-          if (result.seen_applications.erase(key) > 0) {
-            // FrontierKey reproduces the removed key's construction, hence
-            // its exact capacity, so the decrements mirror the inserts.
-            // The memo's bucket array keeps its grown size — the boundary
-            // recompute in finish() reads bucket_count() directly, so the
-            // retained-capacity bytes stay accounted (the historical
-            // under-count this replaces).
-            state.memo_key_capacity -=
-                StringHeapBytes(key, MemAccounting::kCapacity);
-            state.memo_key_content -=
-                StringHeapBytes(key, MemAccounting::kContent);
+        // TermIds on resume, so they are harmless.)  The memo's content
+        // bytes depend only on its keys, so finish() accounts the rolled-
+        // back state exactly.
+        if (memo_on) {
+          for (uint32_t s : surviving) {
+            result.seen_applications.Erase(staged[s].rule_index,
+                                           staged[s].bindings);
           }
         }
         return finish(ChaseStop::kInjectedFault, round);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/fact_set.h"
+#include "base/hash_table.h"
 #include "base/mem_ledger.h"
 #include "base/vocabulary.h"
 #include "tgd/substitution.h"
@@ -345,6 +346,47 @@ struct ChaseOptions {
   std::function<void(const ChaseHeartbeat&)> heartbeat_sink;
 };
 
+/// The semi-oblivious trigger memo: the set of (rule, frontier binding)
+/// pairs already fired.  The binding is the rule's head-universal tuple,
+/// so equal keys produce identical head atoms (Definition 6 with Skolem
+/// naming, Definition 4).  Each rule keeps its bindings as fixed-width
+/// rows in one flat arena, indexed by an id-keyed hash set on
+/// `HashIdSpan(rule, binding)` — no per-key allocation.  The snapshot
+/// codec exchanges the keys as `FrontierKey` byte strings (`SortedKeys`).
+class TriggerMemo {
+ public:
+  /// Records (rule, bindings); false if it was already present.  A rule's
+  /// bindings all have one width.
+  bool Insert(size_t rule, const std::vector<TermId>& bindings);
+  /// Removes (rule, bindings); false if it was absent.
+  bool Erase(size_t rule, const std::vector<TermId>& bindings);
+
+  size_t size() const { return size_; }
+
+  /// Every key as its snapshot byte string — the rule index as a host-order
+  /// `size_t`, then the binding's TermIds — sorted bytewise.
+  std::vector<std::string> SortedKeys() const;
+
+  /// Heap footprint.  Content mode is rows × (binding bytes + one hash
+  /// slot) per rule: a pure function of the key set, whatever sequence of
+  /// inserts and erases built it.
+  uint64_t HeapBytes(MemAccounting mode) const;
+
+  /// Same key set.  Sorts both sides: meant for tests and oracles.
+  bool operator==(const TriggerMemo& other) const;
+
+ private:
+  struct Table {
+    uint32_t width = 0;
+    uint32_t rows = 0;
+    std::vector<TermId> arena;  // rows × width, row r at r * width
+    IdHashSet index;            // row ids
+  };
+
+  std::vector<Table> tables_;  // by rule index
+  size_t size_ = 0;
+};
+
 /// The result of a chase run: the structure plus per-atom metadata.
 ///
 /// Atoms are indexed by their position in `facts.atoms()`; input atoms come
@@ -381,12 +423,12 @@ struct ChaseResult {
   /// snapshots so a resumed run reports the peak of the whole logical
   /// run, not just the tail.
   size_t peak_bytes = 0;
-  /// The semi-oblivious dedup memo: frontier keys (rule index + head-
+  /// The semi-oblivious dedup memo: the trigger (rule index + head-
   /// universal projection) of every application committed so far.  Carried
   /// in the result so snapshots can resume with identical per-round
   /// `deduped`/`committed` counters.  Empty when record_all_derivations
   /// disabled the memo.
-  std::unordered_set<std::string> seen_applications;
+  TriggerMemo seen_applications;
 
   /// True iff the chase reached a fixpoint, i.e. the (semi-oblivious) chase
   /// of this instance terminates: Ch(T,D) = Ch_{complete_rounds}(T,D).

@@ -18,9 +18,10 @@ constexpr char kMagic[4] = {'F', 'R', 'S', 'N'};
 // v2 added the content-mode ledger total (approx_bytes).  Capacity-mode
 // figures (per-round MemTotals, peak_bytes) are deliberately absent: they
 // depend on the shard count, so serializing them would break the format's
-// canonicality over logical chase state.  Older snapshots are rejected
-// (the codec has no compatibility promise yet; see tests/corpus).
-constexpr uint16_t kVersion = 2;
+// canonicality over logical chase state.  v3 keeps v2's layout; only
+// approx_bytes changed meaning, when the trigger memo's ledger bytes did,
+// so v2 still decodes (ChaseSnapshot::format_version).  v1 is rejected.
+constexpr uint16_t kOldestVersion = 2;
 
 // --- Little-endian encode helpers -----------------------------------------
 
@@ -211,9 +212,7 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
   snap.all_derivations = result.all_derivations;
   snap.birth_atoms.assign(result.birth_atom.begin(), result.birth_atom.end());
   std::sort(snap.birth_atoms.begin(), snap.birth_atoms.end());
-  snap.seen_applications.assign(result.seen_applications.begin(),
-                                result.seen_applications.end());
-  std::sort(snap.seen_applications.begin(), snap.seen_applications.end());
+  snap.seen_applications = result.seen_applications.SortedKeys();
   snap.round_stats = result.stats.rounds;
   snap.total_seconds = result.stats.total_seconds;
   snap.approx_bytes = result.approx_bytes;
@@ -238,7 +237,7 @@ std::string EncodeSnapshot(const ChaseSnapshot& snapshot) {
   obs::Span span("snapshot.encode", "snapshot");
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  PutU16(out, kVersion);
+  PutU16(out, snapshot.format_version);
 
   PutU32(out, static_cast<uint32_t>(snapshot.predicates.size()));
   for (const ChaseSnapshot::PredicateEntry& p : snapshot.predicates) {
@@ -347,12 +346,14 @@ Result<ChaseSnapshot> DecodeSnapshot(std::string_view bytes) {
     return Status::Error("not a chase snapshot (bad magic)");
   }
   const uint16_t version = in.U16();
-  if (!in.failed && version != kVersion) {
+  if (!in.failed &&
+      (version < kOldestVersion || version > kSnapshotFormatVersion)) {
     return Status::Error("unsupported snapshot version " +
                          std::to_string(version));
   }
 
   ChaseSnapshot snap;
+  snap.format_version = version;
   const uint32_t num_predicates = in.Count(8);
   snap.predicates.reserve(num_predicates);
   for (uint32_t i = 0; i < num_predicates && !in.failed; ++i) {

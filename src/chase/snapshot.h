@@ -16,6 +16,9 @@
 
 namespace frontiers {
 
+/// FRSN wire-format version that `MakeSnapshot` produces.
+inline constexpr uint16_t kSnapshotFormatVersion = 3;
+
 /// A resumable checkpoint of an interrupted chase run.
 ///
 /// Snapshots exist so a run stopped by a budget (deadline, bytes, rounds) or
@@ -68,13 +71,17 @@ struct ChaseSnapshot {
   std::vector<std::optional<Derivation>> first_derivation;  // if provenance
   std::vector<std::vector<Derivation>> all_derivations;     // if recording
   std::vector<std::pair<TermId, uint32_t>> birth_atoms;     // sorted by term
-  std::vector<std::string> seen_applications;               // sorted
+  // The trigger memo's keys as FrontierKey byte strings: the rule index as
+  // a host-order size_t, then the binding's TermIds.  Sorted.
+  std::vector<std::string> seen_applications;
   std::vector<ChaseRoundStats> round_stats;
   double total_seconds = 0.0;
   /// Content-mode ledger total at the snapshot boundary.  Resume recomputes
   /// the same figure from the reconstructed state and asserts byte equality
   /// (the E18 ledger-equivalence check): content accounting is a pure
   /// function of logical state, so any disagreement means an accounting bug.
+  /// A version-2 snapshot's figure came from the string-keyed memo's
+  /// ledger, so Resume recomputes it without the check.
   uint64_t approx_bytes = 0;
   /// Capacity-mode high-water mark over all round boundaries of the source
   /// run, carried through so a same-process resume's peak covers the whole
@@ -87,6 +94,9 @@ struct ChaseSnapshot {
   uint64_t peak_bytes = 0;
 
   // --- Run fingerprint ----------------------------------------------------
+  /// Wire version: what DecodeSnapshot read, and what EncodeSnapshot
+  /// writes (v2 and v3 share one layout).
+  uint16_t format_version = kSnapshotFormatVersion;
   ChaseVariant variant = ChaseVariant::kSemiOblivious;
   bool semi_naive = true;
   bool track_provenance = false;

@@ -7,8 +7,10 @@
 #include "base/bignat.h"
 #include "base/check.h"
 #include "base/fact_set.h"
+#include "base/mem_ledger.h"
 #include "base/status.h"
 #include "base/vocabulary.h"
+#include "base/worker_pool.h"
 
 namespace frontiers {
 namespace {
@@ -169,6 +171,133 @@ TEST(VocabularyTest, TermToStringNestsSkolems) {
   std::string s = vocab.TermToString(fa);
   EXPECT_NE(s.find("a"), std::string::npos);
   EXPECT_NE(s.find("("), std::string::npos);
+}
+
+// ------------------------------------------------ Batch Skolem interning --
+
+// One side of the batch-intern differential: a vocabulary with four Skolem
+// functions, blocks that share functions, and seed terms (constants plus
+// Skolem terms, so rows nest and depths exceed one).
+struct SkolemTwin {
+  Vocabulary vocab;
+  std::vector<TermId> seeds;
+  std::vector<uint32_t> blocks;  // {f}, {f,g}, {g,h}, {k}
+
+  SkolemTwin() {
+    const SkolemFnId f = vocab.SkolemFunction("f", 2);
+    const SkolemFnId g = vocab.SkolemFunction("g", 2);
+    const SkolemFnId h = vocab.SkolemFunction("h", 2);
+    const SkolemFnId k = vocab.SkolemFunction("k", 2);
+    for (int i = 0; i < 40; ++i) {
+      seeds.push_back(vocab.Constant("c" + std::to_string(i)));
+    }
+    for (int i = 0; i < 10; ++i) {
+      seeds.push_back(vocab.SkolemTerm(k, {seeds[i], seeds[i + 1]}));
+    }
+    blocks = {vocab.SkolemBlock({f}), vocab.SkolemBlock({f, g}),
+              vocab.SkolemBlock({g, h}), vocab.SkolemBlock({k})};
+    // A row interned before the batch, and a term created through the
+    // per-term path that a batch row must reuse.
+    vocab.SkolemRow(blocks[0], {seeds[0], seeds[1]});
+    vocab.SkolemTerm(g, {seeds[2], seeds[3]});
+  }
+};
+
+struct SkolemRequest {
+  uint32_t block;  // index into SkolemTwin::blocks
+  std::vector<uint32_t> args;  // indices into SkolemTwin::seeds
+};
+
+std::vector<SkolemRequest> SkolemRequests() {
+  std::vector<SkolemRequest> requests = {
+      {0, {0, 1}},  // already interned
+      {2, {2, 3}},  // g(c2,c3) was created by SkolemTerm
+      {1, {4, 5}},  // new row of the two-function block {f,g}...
+      {0, {4, 5}},  // ...whose pending f(c4,c5) this block {f} shares
+      {1, {4, 5}},  // in-batch duplicate (two rules sharing a block)
+      {2, {4, 5}},  // g(c4,c5) pending from the {f,g} row
+  };
+  // Enough pseudo-random requests that the hash and fill passes split
+  // into several pool slices; few enough seeds that rows repeat often.
+  uint64_t state = 12345;
+  auto next = [&state](uint32_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>((state >> 33) % bound);
+  };
+  for (int i = 0; i < 12000; ++i) {
+    requests.push_back({next(4), {next(50), next(50)}});
+  }
+  return requests;
+}
+
+void ExpectSameVocabulary(const Vocabulary& a, const Vocabulary& b) {
+  ASSERT_EQ(a.NumTerms(), b.NumTerms());
+  for (TermId t = 0; t < a.NumTerms(); ++t) {
+    ASSERT_EQ(a.Kind(t), b.Kind(t)) << "term " << t;
+    EXPECT_EQ(a.TermDepth(t), b.TermDepth(t)) << "term " << t;
+    if (a.IsSkolem(t)) {
+      EXPECT_EQ(a.SkolemFn(t), b.SkolemFn(t)) << "term " << t;
+      EXPECT_EQ(a.SkolemArgs(t), b.SkolemArgs(t)) << "term " << t;
+    }
+  }
+  for (MemAccounting mode : {MemAccounting::kCapacity, MemAccounting::kContent}) {
+    MemTotals ta;
+    MemTotals tb;
+    a.AccountHeap(ta, mode);
+    b.AccountHeap(tb, mode);
+    for (size_t c = 0; c < kMemComponentCount; ++c) {
+      EXPECT_EQ(ta.bytes[c], tb.bytes[c])
+          << MemComponentName(static_cast<MemComponent>(c))
+          << (mode == MemAccounting::kCapacity ? " capacity" : " content");
+    }
+  }
+}
+
+// SkolemRows against one SkolemRow call per request on a twin vocabulary:
+// the same row ids, terms, depths and ledger bytes, with and without a
+// pool.
+TEST(VocabularyTest, BatchSkolemInternMatchesRowAtATime) {
+  const std::vector<SkolemRequest> requests = SkolemRequests();
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SkolemTwin serial;
+    SkolemTwin batched;
+    std::vector<TermId> want;
+    for (const SkolemRequest& r : requests) {
+      const uint32_t block = serial.blocks[r.block];
+      std::vector<TermId> args;
+      for (uint32_t a : r.args) args.push_back(serial.seeds[a]);
+      const TermId* row = serial.vocab.SkolemRow(block, args);
+      want.insert(want.end(), row, row + serial.vocab.SkolemBlockSize(block));
+    }
+
+    // Three batches, one of them empty, split unevenly.
+    std::vector<SkolemRowBatch> batches(3);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      SkolemRowBatch& batch = batches[i < 7000 ? 0 : 2];
+      std::vector<TermId> args;
+      for (uint32_t a : requests[i].args) args.push_back(batched.seeds[a]);
+      batch.Add(batched.blocks[requests[i].block], args.data(), args.size());
+    }
+    WorkerPool pool(threads);
+    std::vector<TermId> got;
+    batched.vocab.SkolemRows(batches, threads > 1 ? &pool : nullptr, &got);
+
+    EXPECT_EQ(got, want);
+    ExpectSameVocabulary(serial.vocab, batched.vocab);
+    // The batch left the row table consistent: every request now hits.
+    size_t cursor = 0;
+    for (const SkolemRequest& r : requests) {
+      const uint32_t block = batched.blocks[r.block];
+      std::vector<TermId> args;
+      for (uint32_t a : r.args) args.push_back(batched.seeds[a]);
+      const TermId* row = batched.vocab.FindSkolemRow(block, args);
+      ASSERT_NE(row, nullptr);
+      for (uint32_t i = 0; i < batched.vocab.SkolemBlockSize(block); ++i) {
+        EXPECT_EQ(row[i], want[cursor++]);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ Atom --

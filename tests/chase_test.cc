@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
 #include "chase/chase.h"
@@ -385,6 +389,78 @@ TEST_F(ChaseTest, DepthOfInputAndDerivedAtoms) {
                    .DepthOf(Atom(e, {vocab_.Constant("Z"),
                                      vocab_.Constant("Z")}))
                    .has_value());
+}
+
+// The memo's keys are the snapshot wire strings: the rule index as a
+// host-order size_t, then the binding's TermIds.  Pinned byte for byte.
+TEST(TriggerMemoTest, KeysAreFrontierKeyByteStrings) {
+  if constexpr (sizeof(size_t) != 8 ||
+                std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the literal below is the little-endian 64-bit form";
+  }
+  TriggerMemo memo;
+  EXPECT_TRUE(memo.Insert(2, {7, 0x01020304}));
+  EXPECT_FALSE(memo.Insert(2, {7, 0x01020304}));
+  EXPECT_TRUE(memo.Insert(0, {}));  // a rule with no head-universal variable
+  EXPECT_FALSE(memo.Insert(0, {}));
+  const std::vector<std::string> keys = memo.SortedKeys();
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0], std::string("\x00\x00\x00\x00\x00\x00\x00\x00", 8));
+  EXPECT_EQ(keys[1], std::string("\x02\x00\x00\x00\x00\x00\x00\x00"
+                                 "\x07\x00\x00\x00\x04\x03\x02\x01",
+                                 16));
+  EXPECT_FALSE(memo.Erase(2, {0x01020304, 7}));
+  EXPECT_FALSE(memo.Erase(1, {7, 0x01020304}));
+  EXPECT_TRUE(memo.Erase(2, {7, 0x01020304}));
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+// Content-mode bytes are a function of the key set alone: after inserts
+// and erases (middle rows, last rows, a whole rule), the memo reports what
+// a fresh memo holding only the survivors reports, and equals it.
+TEST(TriggerMemoTest, ContentBytesDependOnlyOnTheKeySet) {
+  TriggerMemo memo;
+  for (TermId i = 0; i < 200; ++i) {
+    ASSERT_TRUE(memo.Insert(0, {i, i + 1}));
+    ASSERT_TRUE(memo.Insert(3, {i}));
+    if (i % 10 == 0) {
+      ASSERT_TRUE(memo.Insert(1, {i, i, i}));
+      ASSERT_TRUE(memo.Insert(6, {i}));  // the highest rule, erased whole
+    }
+  }
+  TriggerMemo survivors;
+  for (TermId i = 0; i < 200; ++i) {
+    if (i % 3 == 0 || i > 190) {
+      EXPECT_TRUE(memo.Erase(0, {i, i + 1}));
+    } else {
+      survivors.Insert(0, {i, i + 1});
+    }
+    if (i % 10 == 0) {
+      EXPECT_TRUE(memo.Erase(1, {i, i, i}));
+      EXPECT_TRUE(memo.Erase(6, {i}));
+    }
+    if (i % 2 == 0) survivors.Insert(3, {i});
+  }
+  for (TermId i = 0; i < 200; ++i) {
+    if (i % 2 != 0) {
+      EXPECT_TRUE(memo.Erase(3, {i}));
+    }
+  }
+  EXPECT_FALSE(memo.Erase(3, {1}));
+  EXPECT_FALSE(memo.Erase(7, {1}));
+  EXPECT_EQ(memo.size(), survivors.size());
+  EXPECT_EQ(memo, survivors);
+  EXPECT_EQ(memo.SortedKeys(), survivors.SortedKeys());
+  EXPECT_EQ(memo.HeapBytes(MemAccounting::kContent),
+            survivors.HeapBytes(MemAccounting::kContent));
+  EXPECT_GE(memo.HeapBytes(MemAccounting::kCapacity),
+            memo.HeapBytes(MemAccounting::kContent));
+  // Rows moved into erased slots are still found where they now live.
+  for (TermId i = 0; i < 200; ++i) {
+    EXPECT_EQ(memo.Insert(0, {i, i + 1}), i % 3 == 0 || i > 190);
+  }
+  survivors.Insert(5, {1});
+  EXPECT_FALSE(memo == survivors);
 }
 
 }  // namespace

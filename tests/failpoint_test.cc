@@ -210,6 +210,62 @@ TEST(FailpointTest, ShardCommitFaultRollsBackAllShards) {
   }
 }
 
+// The same fault on a round wide enough for the parallel commit expansion:
+// the round's Skolem rows are already batch-interned when the shard task
+// aborts, and the trigger memo must roll back to the previous boundary.
+TEST(FailpointTest, ShardCommitFaultAfterBatchInternRollsBackMemo) {
+  DisarmOnExit guard;
+  // Example 39's sticky star with eight colours: 4 096 applications in
+  // round 3, all on fresh Skolem rows.
+  const char* theory = "E4(x,y,y1,t), R(x,t1) -> exists y2 . E4(x,y1,y2,t1)";
+  std::string facts = "E4(A,B1,B2,C1)";
+  for (int i = 1; i <= 8; ++i) facts += ", R(A,C" + std::to_string(i) + ")";
+  auto wide = [](uint32_t rounds) {
+    ChaseOptions options;
+    options.max_rounds = rounds;
+    options.threads = 4;
+    options.serial_round_threshold = 0;
+    options.track_provenance = true;
+    return options;
+  };
+  ChaseRig reference(theory, facts.c_str());
+  const ChaseResult full =
+      ChaseEngine(reference.vocab, reference.theory).Run(reference.db, wide(4));
+  ASSERT_EQ(full.complete_rounds, 4u);
+
+  ChaseRig rig(theory, facts.c_str());
+  ChaseEngine engine(rig.vocab, rig.theory);
+  const ChaseResult three = engine.Run(rig.db, wide(3));
+  Result<ChaseSnapshot> at_three =
+      MakeSnapshot(rig.vocab, rig.theory, three, wide(3));
+  ASSERT_TRUE(at_three.ok()) << at_three.message();
+  const uint32_t terms_before = rig.vocab.NumTerms();
+
+  const uint64_t fired_before = failpoint::FiredCount("fact_set.shard_commit");
+  failpoint::Arm("fact_set.shard_commit", /*fire_count=*/1);
+  const ChaseResult faulted = engine.Resume(at_three.value(), wide(4));
+  failpoint::DisarmAll();
+  EXPECT_EQ(failpoint::FiredCount("fact_set.shard_commit"), fired_before + 1);
+  ASSERT_EQ(faulted.stop, ChaseStop::kInjectedFault);
+  EXPECT_EQ(faulted.complete_rounds, 3u);
+  EXPECT_EQ(faulted.stats.rounds.size(), 3u);
+  EXPECT_EQ(rig.vocab.NumTerms(), terms_before + 4096)
+      << "the faulted round batch-interned its Skolem rows";
+  EXPECT_EQ(faulted.seen_applications, three.seen_applications);
+  EXPECT_EQ(ComputeChaseMemTotals(faulted, rig.vocab, MemAccounting::kContent)
+                .Get(MemComponent::kFrontierMemo),
+            ComputeChaseMemTotals(three, rig.vocab, MemAccounting::kContent)
+                .Get(MemComponent::kFrontierMemo));
+
+  Result<ChaseSnapshot> snapshot =
+      MakeSnapshot(rig.vocab, rig.theory, faulted, wide(4));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.message();
+  Result<ChaseSnapshot> decoded =
+      DecodeSnapshot(EncodeSnapshot(snapshot.value()));
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  ExpectIdenticalRuns(engine.Resume(decoded.value(), wide(4)), full);
+}
+
 TEST(FailpointTest, InsertBatchRefusesBatchWhenArmed) {
   DisarmOnExit guard;
   Vocabulary vocab;

@@ -33,6 +33,9 @@ struct ParityCase {
   Theory (*theory)(Vocabulary&);
   FactSet (*instance)(Vocabulary&);
   uint32_t max_rounds;
+  // ChaseOptions::serial_round_threshold; 0 sends every round of a
+  // multi-threaded run through the parallel pipeline.
+  uint64_t serial_round_threshold = ChaseOptions().serial_round_threshold;
 };
 
 FactSet MotherInstance(Vocabulary& vocab) {
@@ -53,6 +56,8 @@ FactSet I1Path4(Vocabulary& vocab) {
 
 FactSet Star3(Vocabulary& vocab) { return Star39Instance(vocab, 3); }
 
+FactSet Star8(Vocabulary& vocab) { return Star39Instance(vocab, 8); }
+
 FactSet Paints3(Vocabulary& vocab) { return Example66Instance(vocab, 3); }
 
 Theory TdK3(Vocabulary& vocab) { return TdKTheory(vocab, 3); }
@@ -67,6 +72,9 @@ std::vector<ParityCase> Catalog() {
       {"example66", Example66Theory, Paints3, 3},
       {"td-grid", TdTheory, GPath4, 3},
       {"tdk3-tower", TdK3, I1Path4, 3},
+      // Wide enough for the parallel commit expansion and its batch Skolem
+      // intern: 4 096 surviving applications in the last round.
+      {"sticky39-wide", StickyExample39Theory, Star8, 4, 0},
   };
 }
 
@@ -162,7 +170,15 @@ ChaseOptions Options(const ParityCase& pc, bool semi_naive, uint32_t threads,
   options.threads = threads;
   options.variant = variant;
   options.track_provenance = true;
+  options.serial_round_threshold = pc.serial_round_threshold;
   return options;
+}
+
+// `db` rebuilt atom by atom into a store with `shards` dedup shards.
+FactSet Resharded(const FactSet& db, uint32_t shards) {
+  FactSet out(shards);
+  for (const Atom& atom : db.atoms()) out.Insert(atom);
+  return out;
 }
 
 TEST(ParityTest, ThreadCountsAreByteIdentical) {
@@ -186,6 +202,59 @@ TEST(ParityTest, ThreadCountsAreByteIdentical) {
                                                         : "/oblivious") +
                   "/threads=" + std::to_string(threads));
         }
+      }
+    }
+  }
+}
+
+// Every term of `vocab` rendered with its structure (function and
+// argument ids), so two vocabularies compare id by id.
+std::vector<std::string> TermTable(const Vocabulary& vocab) {
+  std::vector<std::string> table;
+  for (TermId t = 0; t < vocab.NumTerms(); ++t) {
+    std::string entry = vocab.TermToString(t);
+    if (vocab.IsSkolem(t)) {
+      for (TermId a : vocab.SkolemArgs(t)) entry += " " + std::to_string(a);
+    }
+    table.push_back(std::move(entry));
+  }
+  return table;
+}
+
+// Every thread count crossed with every shard count, each run on a fresh
+// vocabulary, so multi-threaded runs intern their own Skolem terms (through
+// the batch intern on wide rounds) and must still assign the same TermIds
+// to the same terms.
+TEST(ParityTest, ThreadAndShardGridOnFreshVocabulariesIsByteIdentical) {
+  for (const ParityCase& pc : Catalog()) {
+    ChaseResult baseline;
+    std::vector<std::string> baseline_terms;
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      for (uint32_t shards : {1u, 4u, 16u}) {
+        const std::string label = pc.name + "/threads=" +
+                                  std::to_string(threads) +
+                                  "/shards=" + std::to_string(shards);
+        Vocabulary vocab;
+        Theory theory = pc.theory(vocab);
+        FactSet db = Resharded(pc.instance(vocab), shards);
+        ChaseEngine engine(vocab, theory);
+        ChaseResult result = engine.Run(
+            db, Options(pc, true, threads, ChaseVariant::kSemiOblivious));
+        if (pc.serial_round_threshold == 0 && threads > 1) {
+          EXPECT_GT(result.stats.rounds.back().used_threads, 1u)
+              << label << ": the wide round must take the parallel path";
+        }
+        if (threads == 1 && shards == 1) {
+          baseline = std::move(result);
+          baseline_terms = TermTable(vocab);
+          continue;
+        }
+        ExpectIdentical(baseline, result, label);
+        ExpectSameRoundCounters(baseline.stats, result.stats, label);
+        EXPECT_EQ(result.seen_applications, baseline.seen_applications)
+            << label;
+        EXPECT_EQ(TermTable(vocab), baseline_terms) << label;
+        EXPECT_EQ(result.approx_bytes, baseline.approx_bytes) << label;
       }
     }
   }

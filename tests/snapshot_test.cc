@@ -280,5 +280,87 @@ TEST(SnapshotTest, FreshProcessResumeMatchesUninterruptedRun) {
   }
 }
 
+// A version-2 snapshot shares v3's layout but its approx_bytes came from
+// the string-keyed memo's ledger.  It still decodes, and Resume recomputes
+// the figure instead of checking it, landing on the uninterrupted run.
+TEST(SnapshotTest, VersionTwoSnapshotResumesToUninterruptedRun) {
+  constexpr uint32_t kTargetRounds = 4;
+  ChaseResult reference;
+  {
+    Workload w;
+    ChaseEngine engine(w.vocab, w.theory);
+    reference = engine.Run(w.db, Workload::Options(kTargetRounds));
+  }
+  std::string wire;
+  {
+    Workload w;
+    wire = EncodeSnapshot(InterruptedSnapshot(w, 2));
+  }
+  ASSERT_EQ(static_cast<uint8_t>(wire[4]), kSnapshotFormatVersion);
+  wire[4] = 2;
+  Result<ChaseSnapshot> decoded = DecodeSnapshot(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  ChaseSnapshot v2 = decoded.value();
+  EXPECT_EQ(v2.format_version, 2);
+  EXPECT_EQ(EncodeSnapshot(v2), wire);  // re-encodes as what it is
+  v2.approx_bytes += 977;  // a figure from the old ledger
+
+  Workload w;
+  ASSERT_TRUE(ApplySnapshotVocabulary(v2, w.vocab).ok());
+  ChaseEngine engine(w.vocab, w.theory);
+  const ChaseResult resumed =
+      engine.Resume(v2, Workload::Options(kTargetRounds));
+  EXPECT_EQ(resumed.stop, reference.stop);
+  EXPECT_EQ(resumed.facts.atoms(), reference.facts.atoms());
+  EXPECT_EQ(resumed.depth, reference.depth);
+  EXPECT_EQ(resumed.seen_applications, reference.seen_applications);
+  EXPECT_EQ(resumed.approx_bytes, reference.approx_bytes);
+  ASSERT_EQ(resumed.stats.rounds.size(), reference.stats.rounds.size());
+  for (size_t i = 0; i < resumed.stats.rounds.size(); ++i) {
+    EXPECT_EQ(resumed.stats.rounds[i].deduped,
+              reference.stats.rounds[i].deduped);
+    EXPECT_EQ(resumed.stats.rounds[i].committed,
+              reference.stats.rounds[i].committed);
+  }
+
+  // The same figure in a v3 snapshot is an accounting bug, and aborts.
+  ChaseSnapshot v3 = v2;
+  v3.format_version = kSnapshotFormatVersion;
+  EXPECT_DEATH(engine.Resume(v3, Workload::Options(kTargetRounds)),
+               "approx_bytes");
+}
+
+// Resume parses the memo keys and rejects any that this engine's rules
+// and vocabulary cannot have produced.
+TEST(SnapshotTest, ResumeRejectsMalformedMemoKeys) {
+  Workload w;
+  const ChaseSnapshot good = InterruptedSnapshot(w);
+  ASSERT_FALSE(good.seen_applications.empty());
+  ChaseEngine engine(w.vocab, w.theory);
+  const ChaseOptions options = Workload::Options(4);
+
+  ChaseSnapshot bad_rule = good;
+  bad_rule.seen_applications[0][0] = 99;
+  EXPECT_DEATH(engine.Resume(bad_rule, options), "memo key names rule");
+
+  ChaseSnapshot bad_length = good;
+  bad_length.seen_applications[0].pop_back();
+  EXPECT_DEATH(engine.Resume(bad_length, options), "memo key of rule");
+
+  ChaseSnapshot short_key = good;
+  short_key.seen_applications[0].resize(3);
+  EXPECT_DEATH(engine.Resume(short_key, options), "shorter than a rule");
+
+  ChaseSnapshot bad_term = good;
+  std::string& key = bad_term.seen_applications[0];
+  ASSERT_GE(key.size(), sizeof(size_t) + sizeof(TermId));
+  key.replace(sizeof(size_t), sizeof(TermId), sizeof(TermId), '\xff');
+  EXPECT_DEATH(engine.Resume(bad_term, options), "unknown term");
+
+  ChaseSnapshot repeated = good;
+  repeated.seen_applications.push_back(repeated.seen_applications[0]);
+  EXPECT_DEATH(engine.Resume(repeated, options), "duplicate memo key");
+}
+
 }  // namespace
 }  // namespace frontiers
