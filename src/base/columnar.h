@@ -35,18 +35,7 @@ class ColumnarSegment {
     ++rows_;
   }
 
-  /// Removes the most recently appended row (used by insert-then-dedup).
-  void PopRow() {
-    for (uint32_t pos = 0; pos < arity_; ++pos) columns_[pos].pop_back();
-    --rows_;
-  }
-
   TermId Term(size_t row, uint32_t pos) const { return columns_[pos][row]; }
-
-  /// The full column for `pos`; contiguous, one entry per row.
-  const std::vector<TermId>& Column(uint32_t pos) const {
-    return columns_[pos];
-  }
 
   bool RowEquals(size_t row, const TermId* terms) const {
     for (uint32_t pos = 0; pos < arity_; ++pos) {
@@ -303,12 +292,6 @@ struct RowBlock {
     predicates.push_back(predicate);
     terms.insert(terms.end(), row_terms, row_terms + arity);
     offsets.push_back(static_cast<uint32_t>(terms.size()));
-  }
-
-  void Reserve(size_t row_count, size_t term_count) {
-    predicates.reserve(row_count);
-    offsets.reserve(row_count + 1);
-    terms.reserve(term_count);
   }
 
   void Clear() {

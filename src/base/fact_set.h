@@ -1,7 +1,10 @@
 #ifndef FRONTIERS_BASE_FACT_SET_H_
 #define FRONTIERS_BASE_FACT_SET_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -32,11 +35,12 @@ class WorkerPool;  // base/worker_pool.h
 /// join need.  Atoms are kept in insertion order, so iteration (and hence
 /// everything built on top, including chase runs) is deterministic.
 ///
-/// Storage is columnar: each predicate's argument terms live in
-/// struct-of-arrays `ColumnarSegment` columns, and the dedup index keys by
-/// atom id into that store rather than holding a second copy of every atom.
-/// The row-oriented `atoms()` vector is kept as the iteration-order access
-/// path.
+/// Storage is columnar, and it is the only copy of each atom: each
+/// predicate's argument terms live in struct-of-arrays `ColumnarSegment`
+/// columns, and one id-indexed (predicate, segment row) table maps an atom
+/// id to its row.  The dedup index, the postings and the matcher all key by
+/// atom id into that store.  `atoms()` is a read-only view that builds
+/// `Atom` values from the rows on demand, for API edges only.
 ///
 /// **Sharding & concurrency contract.**  The dedup index is partitioned
 /// into `shard_count()` shards keyed by (predicate, first ground term), so
@@ -81,8 +85,8 @@ class FactSet {
   /// Inserts an atom; returns true if it was new.
   bool Insert(const Atom& atom);
 
-  /// Outcome of a row-level insert: the atom's index in `atoms()` (fresh or
-  /// pre-existing) and whether this call inserted it.
+  /// Outcome of a row-level insert: the atom's id (fresh or pre-existing)
+  /// and whether this call inserted it.
   struct InsertOutcome {
     uint32_t index;
     bool inserted;
@@ -110,7 +114,7 @@ class FactSet {
   /// attribution (expand / dedup / index).
   struct BatchTimings {
     double dedup_seconds = 0.0;  ///< hash + shard dedup probes + id assignment
-    double index_seconds = 0.0;  ///< column fill, postings, atoms, domain
+    double index_seconds = 0.0;  ///< column fill, postings, domain
   };
 
   /// Per-batch shard occupancy and contention, for the obs layer's
@@ -178,34 +182,46 @@ class FactSet {
   /// Membership test.
   bool Contains(const Atom& atom) const { return IndexOf(atom).has_value(); }
 
-  /// Index of `atom` within `atoms()`, if present.
+  /// Id of `atom`, if present.
   std::optional<uint32_t> IndexOf(const Atom& atom) const;
 
   /// Number of atoms.
-  size_t size() const { return atoms_.size(); }
+  size_t size() const { return rows_.size(); }
 
   /// True if the set has no atoms.
-  bool empty() const { return atoms_.empty(); }
+  bool empty() const { return rows_.empty(); }
 
-  /// All atoms, in insertion order.
-  const std::vector<Atom>& atoms() const { return atoms_; }
+  /// Predicate of atom `id`.
+  PredicateId PredicateOf(uint32_t id) const { return rows_[id].predicate; }
+
+  /// Row of atom `id` within its predicate's segment.
+  uint32_t LocalRow(uint32_t id) const { return rows_[id].row; }
+
+  /// The segment holding atom `id`'s terms, at row `LocalRow(id)`.
+  const ColumnarSegment& SegmentOf(uint32_t id) const {
+    return predicates_.find(PredicateOf(id))->second.segment;
+  }
+
+  /// Atom `id`, built from its segment row.
+  Atom AtomAt(uint32_t id) const;
+
+  /// All atoms, in id (insertion) order, for API edges: each element is an
+  /// `Atom` built on access.
+  class AtomView;
+  AtomView atoms() const;
 
   /// The columnar term store for predicate `p`, or nullptr if no atom with
-  /// that predicate has been inserted.  Row `LocalRow(i)` of the segment
-  /// holds the terms of `atoms()[i]`.
+  /// that predicate has been inserted.
   const ColumnarSegment* Segment(PredicateId p) const {
     auto it = predicates_.find(p);
     if (it == predicates_.end()) return nullptr;
     return &it->second.segment;
   }
 
-  /// Row of `atoms()[index]` within its predicate's segment.
-  uint32_t LocalRow(uint32_t index) const { return local_row_[index]; }
-
-  /// Indices (into `atoms()`) of atoms with the given predicate.
+  /// Ids of the atoms with predicate `p`, in insertion order.
   const std::vector<uint32_t>& ByPredicate(PredicateId p) const;
 
-  /// Indices of atoms with predicate `p` whose argument at `position`
+  /// Ids of the atoms with predicate `p` whose argument at `position`
   /// equals `t`, in insertion order.  The view stays valid until the next
   /// insert.
   PostingList ByPredicatePositionTerm(PredicateId p, uint32_t position,
@@ -271,7 +287,7 @@ class FactSet {
     explicit PredicateIndex(uint32_t arity)
         : segment(arity), by_position(arity) {}
     ColumnarSegment segment;
-    std::vector<uint32_t> atom_ids;  // indices into atoms_, in order
+    std::vector<uint32_t> atom_ids;  // atom ids, in order
     std::vector<PositionIndex> by_position;  // one per argument position
   };
 
@@ -299,7 +315,6 @@ class FactSet {
     std::vector<PredicateIndex*> pidx_of;  // per row
     std::vector<uint32_t> found;           // per row: resident id or marker
     std::vector<uint32_t> row_global;      // per row: assigned global id
-    std::vector<uint32_t> row_local;       // per row: assigned segment row
     std::vector<uint32_t> plan_of_row;     // per row: index into plans
     std::vector<std::vector<uint32_t>> shard_rows;  // per shard, block order
     std::vector<std::vector<uint32_t>> shard_new;   // per shard: new rows
@@ -341,18 +356,17 @@ class FactSet {
     return static_cast<uint32_t>(HashIdSpan(predicate, &t0, 1)) & shard_mask_;
   }
 
-  /// True if `atoms()[id]` is the row `predicate(terms[0..arity))`,
-  /// checked against the columnar segment `seg` of `predicate`.
+  /// True if atom `id` is the row `predicate(terms[0..arity))`, checked
+  /// against the columnar segment `seg` of `predicate`.
   bool RowMatches(uint32_t id, PredicateId predicate, const TermId* terms,
                   const ColumnarSegment& seg) const {
-    return atoms_[id].predicate == predicate &&
-           seg.arity() == atoms_[id].args.size() &&
-           seg.RowEquals(local_row_[id], terms);
+    return rows_[id].predicate == predicate &&
+           seg.RowEquals(rows_[id].row, terms);
   }
 
-  /// Shared tail of `Insert`/`InsertRow`/`InsertBatch`: index maintenance
-  /// for the freshly appended atom at `index`.
-  void IndexNewAtom(uint32_t index, PredicateIndex& pidx);
+  /// Shared tail of `InsertRow`: index maintenance for the freshly appended
+  /// atom `id`, whose terms are `terms`.
+  void IndexNewAtom(uint32_t id, const TermId* terms, PredicateIndex& pidx);
 
   // Accounting helpers shared by AccountHeap and AccountLedger, so the
   // per-predicate ledger rows sum to exactly the component totals.
@@ -370,8 +384,13 @@ class FactSet {
 
   void InitShards(uint32_t shard_count);
 
-  std::vector<Atom> atoms_;
-  std::vector<uint32_t> local_row_;  // parallel to atoms_
+  // Indexed by atom id: the atom's predicate and its row in that
+  // predicate's segment, which holds the atom's only copy of its terms.
+  struct RowRef {
+    PredicateId predicate;
+    uint32_t row;
+  };
+  std::vector<RowRef> rows_;
   std::unordered_map<PredicateId, PredicateIndex> predicates_;
   std::vector<Shard> shards_;
   // Parallel to shards_; unique_ptr keeps FactSet movable and lets copies
@@ -385,6 +404,59 @@ class FactSet {
   // domain iff its degree is non-zero (degrees are never decremented).
   std::vector<uint32_t> atom_degree_;
 };
+
+/// `FactSet::atoms()`: the atoms in id order, each built from its segment
+/// row when read.  `operator[]` and iteration return `Atom` by value, so a
+/// `const Atom&` bound to an element owns its temporary and never dangles.
+/// Converts to `std::vector<Atom>` for callers that want the whole list.
+class FactSet::AtomView {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Atom;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Atom;
+
+    const_iterator(const FactSet* facts, uint32_t id)
+        : facts_(facts), id_(id) {}
+    Atom operator*() const { return facts_->AtomAt(id_); }
+    const_iterator& operator++() {
+      ++id_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return id_ == o.id_; }
+
+   private:
+    const FactSet* facts_;
+    uint32_t id_;
+  };
+  using iterator = const_iterator;
+  using value_type = Atom;
+
+  explicit AtomView(const FactSet& facts) : facts_(&facts) {}
+
+  size_t size() const { return facts_->size(); }
+  bool empty() const { return facts_->empty(); }
+  Atom operator[](size_t id) const {
+    return facts_->AtomAt(static_cast<uint32_t>(id));
+  }
+  const_iterator begin() const { return {facts_, 0}; }
+  const_iterator end() const {
+    return {facts_, static_cast<uint32_t>(size())};
+  }
+  operator std::vector<Atom>() const { return {begin(), end()}; }
+
+  friend bool operator==(const AtomView& a, const AtomView& b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  const FactSet* facts_;
+};
+
+inline FactSet::AtomView FactSet::atoms() const { return AtomView(*this); }
 
 }  // namespace frontiers
 

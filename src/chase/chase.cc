@@ -561,8 +561,8 @@ std::string ChaseStats::ToString() const {
 
 FactSet ChaseResult::PrefixAtDepth(uint32_t i) const {
   FactSet out;
-  for (size_t k = 0; k < facts.atoms().size(); ++k) {
-    if (depth[k] <= i) out.Insert(facts.atoms()[k]);
+  for (uint32_t id = 0; id < facts.size(); ++id) {
+    if (depth[id] <= i) out.Insert(facts.AtomAt(id));
   }
   return out;
 }
@@ -923,8 +923,10 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
                         " bytes, expected " +
                         std::to_string(sizeof(rule) + sizeof(TermId) * width));
     key_bindings.resize(width);
-    std::memcpy(key_bindings.data(), key.data() + sizeof(rule),
-                sizeof(TermId) * width);
+    if (width > 0) {  // an empty vector's data() may be null
+      std::memcpy(key_bindings.data(), key.data() + sizeof(rule),
+                  sizeof(TermId) * width);
+    }
     for (TermId t : key_bindings) {
       FRONTIERS_CHECK(t < vocab_.NumTerms(),
                       "snapshot memo key references unknown term " +
@@ -949,9 +951,10 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   state.peak_bytes = snapshot.peak_bytes;
   // Content-mode accounting is a pure function of logical state, so the
   // reconstruction must land on the snapshotted figure byte-for-byte —
-  // the determinism contract of DESIGN.md §9.  A v2 snapshot's figure
-  // predates the id-keyed memo's ledger, so it is recomputed, not checked.
-  if (snapshot.format_version >= 3) {
+  // the determinism contract of DESIGN.md §9.  An older snapshot's figure
+  // predates the current ledger (v2: string memo; v3: row copy of every
+  // atom), so it is recomputed, not checked.
+  if (snapshot.format_version == kSnapshotFormatVersion) {
     FRONTIERS_CHECK(snapshot.approx_bytes == state.live_bytes,
                     "snapshot approx_bytes (" +
                         std::to_string(snapshot.approx_bytes) +
@@ -980,10 +983,12 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
     if (result.depth[i] == state.round) state.delta_atoms.push_back(i);
   }
   std::unordered_set<TermId> known;
-  for (uint32_t i = 0; i < result.facts.atoms().size(); ++i) {
-    const Atom& atom = result.facts.atoms()[i];
-    const bool in_delta = result.depth[i] == state.round;
-    for (TermId t : atom.args) {
+  for (uint32_t id = 0; id < result.facts.size(); ++id) {
+    const ColumnarSegment& seg = result.facts.SegmentOf(id);
+    const uint32_t row = result.facts.LocalRow(id);
+    const bool in_delta = result.depth[id] == state.round;
+    for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+      const TermId t = seg.Term(row, pos);
       if (known.insert(t).second && in_delta) {
         state.delta_terms.push_back(t);
       }
@@ -1348,7 +1353,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
     std::unordered_map<PredicateId, std::vector<uint32_t>> delta_by_pred;
     if (options.semi_naive && round > 0) {
       for (uint32_t idx : delta_atoms) {
-        delta_by_pred[result.facts.atoms()[idx].predicate].push_back(idx);
+        delta_by_pred[result.facts.PredicateOf(idx)].push_back(idx);
       }
     }
     // Chunking delta seeds bounds the serial tail; the chunk size affects
@@ -1525,13 +1530,18 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           for (size_t k = 0; k < rule.body.size(); ++k) {
             if (k != unit.seed_pos) rest.push_back(rule.body[k]);
           }
+          // seed_list holds only atoms of the seed's predicate, so one
+          // segment serves every seed of the unit.
+          const Atom& seed_atom = rule.body[unit.seed_pos];
+          const ColumnarSegment* seg =
+              result.facts.Segment(seed_atom.predicate);
+          std::vector<TermId> bound;
           for (size_t di = unit.delta_begin; di < unit.delta_end; ++di) {
             if (governed && aborting()) break;
-            // seed_list holds only atoms of the seed's predicate.
-            const Atom& fact = result.facts.atoms()[(*unit.seed_list)[di]];
+            const uint32_t row = result.facts.LocalRow((*unit.seed_list)[di]);
             Substitution seed;
-            if (!UnifyAtomWithFact(rule.body[unit.seed_pos], fact, mappable,
-                                   seed)) {
+            if (!UnifyAtomWithRow(seed_atom, *seg, row, mappable, seed,
+                                  &bound)) {
               continue;
             }
             matcher.ForEach(rest, mappable, seed,

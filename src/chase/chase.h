@@ -389,7 +389,7 @@ class TriggerMemo {
 
 /// The result of a chase run: the structure plus per-atom metadata.
 ///
-/// Atoms are indexed by their position in `facts.atoms()`; input atoms come
+/// Atoms are indexed by their `facts` id (insertion order); input atoms come
 /// first (depth 0) and every derived atom records the round that created it,
 /// so `PrefixAtDepth(i)` recovers exactly `Ch_i(T, D)` for every
 /// `i <= complete_rounds`.

@@ -18,9 +18,10 @@ constexpr char kMagic[4] = {'F', 'R', 'S', 'N'};
 // v2 added the content-mode ledger total (approx_bytes).  Capacity-mode
 // figures (per-round MemTotals, peak_bytes) are deliberately absent: they
 // depend on the shard count, so serializing them would break the format's
-// canonicality over logical chase state.  v3 keeps v2's layout; only
-// approx_bytes changed meaning, when the trigger memo's ledger bytes did,
-// so v2 still decodes (ChaseSnapshot::format_version).  v1 is rejected.
+// canonicality over logical chase state.  v3 and v4 keep v2's layout; only
+// approx_bytes changed meaning, when the trigger memo's ledger bytes did
+// (v3) and when the fact store dropped its row copy of every atom (v4), so
+// v2 and v3 still decode (ChaseSnapshot::format_version).  v1 is rejected.
 constexpr uint16_t kOldestVersion = 2;
 
 // --- Little-endian encode helpers -----------------------------------------

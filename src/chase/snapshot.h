@@ -17,7 +17,7 @@
 namespace frontiers {
 
 /// FRSN wire-format version that `MakeSnapshot` produces.
-inline constexpr uint16_t kSnapshotFormatVersion = 3;
+inline constexpr uint16_t kSnapshotFormatVersion = 4;
 
 /// A resumable checkpoint of an interrupted chase run.
 ///
@@ -80,8 +80,9 @@ struct ChaseSnapshot {
   /// the same figure from the reconstructed state and asserts byte equality
   /// (the E18 ledger-equivalence check): content accounting is a pure
   /// function of logical state, so any disagreement means an accounting bug.
-  /// A version-2 snapshot's figure came from the string-keyed memo's
-  /// ledger, so Resume recomputes it without the check.
+  /// Older snapshots' figures came from earlier ledgers (v2: the
+  /// string-keyed memo; v3: the fact store's row copy of every atom), so
+  /// Resume recomputes them without the check.
   uint64_t approx_bytes = 0;
   /// Capacity-mode high-water mark over all round boundaries of the source
   /// run, carried through so a same-process resume's peak covers the whole
@@ -95,7 +96,7 @@ struct ChaseSnapshot {
 
   // --- Run fingerprint ----------------------------------------------------
   /// Wire version: what DecodeSnapshot read, and what EncodeSnapshot
-  /// writes (v2 and v3 share one layout).
+  /// writes (v2, v3 and v4 share one layout).
   uint16_t format_version = kSnapshotFormatVersion;
   ChaseVariant variant = ChaseVariant::kSemiOblivious;
   bool semi_naive = true;

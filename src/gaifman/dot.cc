@@ -45,7 +45,7 @@ std::string ToDot(const Vocabulary& vocab, const FactSet& facts,
   std::string out = "digraph \"" + Escape(options.name) + "\" {\n";
   out += "  rankdir=LR;\n  node [fontsize=10];\n";
 
-  std::vector<const Atom*> non_binary;
+  std::vector<Atom> non_binary;
   for (TermId t : facts.Domain()) {
     out += "  \"" + Escape(vocab.TermToString(t)) + "\"";
     if (options.highlight.count(t) > 0) {
@@ -55,7 +55,7 @@ std::string ToDot(const Vocabulary& vocab, const FactSet& facts,
   }
   for (const Atom& atom : facts.atoms()) {
     if (atom.args.size() != 2) {
-      non_binary.push_back(&atom);
+      non_binary.push_back(atom);
       continue;
     }
     out += "  \"" + Escape(vocab.TermToString(atom.args[0])) + "\" -> \"" +
@@ -65,8 +65,8 @@ std::string ToDot(const Vocabulary& vocab, const FactSet& facts,
   }
   if (!non_binary.empty()) {
     out += "  // non-binary atoms:\n";
-    for (const Atom* atom : non_binary) {
-      out += "  // " + AtomToString(vocab, *atom) + "\n";
+    for (const Atom& atom : non_binary) {
+      out += "  // " + AtomToString(vocab, atom) + "\n";
     }
   }
   out += "}\n";

@@ -17,12 +17,15 @@ GaifmanGraph::GaifmanGraph(const FactSet& facts) {
   vertices_ = facts.Domain();
   std::unordered_map<TermId, std::unordered_set<TermId>> sets;
   for (TermId v : vertices_) sets[v];  // ensure isolated vertices exist
-  for (const Atom& atom : facts.atoms()) {
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      for (size_t j = i + 1; j < atom.args.size(); ++j) {
-        if (atom.args[i] == atom.args[j]) continue;
-        sets[atom.args[i]].insert(atom.args[j]);
-        sets[atom.args[j]].insert(atom.args[i]);
+  for (uint32_t id = 0; id < facts.size(); ++id) {
+    const ColumnarSegment& seg = facts.SegmentOf(id);
+    const uint32_t row = facts.LocalRow(id);
+    for (uint32_t i = 0; i < seg.arity(); ++i) {
+      for (uint32_t j = i + 1; j < seg.arity(); ++j) {
+        const TermId a = seg.Term(row, i), b = seg.Term(row, j);
+        if (a == b) continue;
+        sets[a].insert(b);
+        sets[b].insert(a);
       }
     }
   }

@@ -8,34 +8,23 @@
 
 namespace frontiers {
 
-bool UnifyAtomWithFact(const Atom& pattern, const Atom& fact,
-                       const std::unordered_set<TermId>& mappable,
-                       Substitution& sub) {
-  if (pattern.predicate != fact.predicate ||
-      pattern.args.size() != fact.args.size()) {
-    return false;
-  }
-  // Bindings added by this call, so a mid-atom mismatch can undo them:
-  // callers reuse `sub` across unification attempts, and a failed attempt
-  // must leave it exactly as it was.
-  std::vector<TermId> bound_here;
-  auto fail = [&]() {
-    for (TermId t : bound_here) sub.erase(t);
-    return false;
-  };
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    TermId p = pattern.args[i];
-    TermId f = fact.args[i];
-    auto bound = sub.find(p);
-    if (bound != sub.end()) {
-      if (bound->second != f) return fail();
-      continue;
-    }
-    if (mappable.count(p) > 0) {
+bool UnifyAtomWithRow(const Atom& pattern, const ColumnarSegment& segment,
+                      uint32_t row, const std::unordered_set<TermId>& mappable,
+                      Substitution& sub, std::vector<TermId>* bound) {
+  bound->clear();
+  if (pattern.args.size() != segment.arity()) return false;
+  for (uint32_t pos = 0; pos < segment.arity(); ++pos) {
+    const TermId p = pattern.args[pos];
+    const TermId f = segment.Term(row, pos);
+    auto it = sub.find(p);
+    if (it == sub.end() && mappable.count(p) > 0) {
       sub.emplace(p, f);
-      bound_here.push_back(p);
-    } else if (p != f) {
-      return fail();
+      bound->push_back(p);
+    } else if ((it != sub.end() ? it->second : p) != f) {
+      // Already bound, or rigid: either way its value must equal `f`.
+      for (TermId t : *bound) sub.erase(t);
+      bound->clear();
+      return false;
     }
   }
   return true;
@@ -53,7 +42,7 @@ struct SearchState {
   std::vector<bool> done;
   const std::function<bool(const Substitution&)>& callback;
 
-  // Candidate atoms (indices into target.atoms()) for pattern atom `i`
+  // Candidate atom ids of `target` for pattern atom `i`
   // under the current partial substitution: the hash-join probe against
   // the most selective bound position's posting list, falling back to the
   // per-predicate scan when no position is bound.
@@ -115,44 +104,23 @@ struct SearchState {
     if (best_size == 0) return true;  // dead end, backtrack
     done[best_atom] = true;
     const Atom& atom = pattern[best_atom];
-    // Every candidate index comes from an access path of `atom.predicate`,
-    // so the predicate matches by construction and the arity check hoists
-    // out of the loop (a segment's arity is fixed).  Candidate terms are
-    // read straight from the predicate's columnar segment.
+    // Every candidate id comes from an access path of `atom.predicate`, so
+    // candidate terms are read straight from that predicate's segment.
     const ColumnarSegment* seg = target.Segment(atom.predicate);
-    const size_t arity = atom.args.size();
-    if (seg == nullptr || seg->arity() != arity) {
-      done[best_atom] = false;
-      return true;
-    }
-    // Terms this unification binds, so a failed attempt can undo them;
+    // Terms each unification binds, undone after the recursive step;
     // hoisted out of the candidate loop to reuse its buffer.
     std::vector<TermId> bound_here;
     for (uint32_t idx : best_candidates) {
-      const uint32_t row = target.LocalRow(idx);
-      bound_here.clear();
-      bool ok = true;
-      for (size_t pos = 0; pos < arity && ok; ++pos) {
-        TermId p = atom.args[pos];
-        TermId f = seg->Term(row, static_cast<uint32_t>(pos));
-        auto it = sub.find(p);
-        if (it != sub.end()) {
-          ok = (it->second == f);
-        } else if (mappable.count(p) > 0) {
-          sub.emplace(p, f);
-          bound_here.push_back(p);
-        } else {
-          ok = (p == f);
-        }
+      if (!UnifyAtomWithRow(atom, *seg, target.LocalRow(idx), mappable, sub,
+                            &bound_here)) {
+        continue;
       }
-      if (ok) {
-        if (!Solve()) {
-          done[best_atom] = false;
-          for (TermId t : bound_here) sub.erase(t);
-          return false;
-        }
-      }
+      const bool go_on = Solve();
       for (TermId t : bound_here) sub.erase(t);
+      if (!go_on) {
+        done[best_atom] = false;
+        return false;
+      }
     }
     done[best_atom] = false;
     return true;

@@ -72,13 +72,15 @@ class Matcher {
 };
 
 /// Attempts to extend `sub` so that `pattern` (whose `mappable` terms may be
-/// bound) becomes exactly `fact`.  On failure returns false and rolls back
-/// every binding it added, leaving `sub` exactly as passed in — callers
-/// (the chase's semi-naive loop, which seeds matches by unifying one body
-/// atom with a delta fact) reuse one substitution across attempts.
-bool UnifyAtomWithFact(const Atom& pattern, const Atom& fact,
-                       const std::unordered_set<TermId>& mappable,
-                       Substitution& sub);
+/// bound) becomes row `row` of `segment`, which must hold the atoms of
+/// `pattern.predicate`.  On success `*bound` lists the terms this call
+/// bound, so the caller can undo them later.  On failure returns false and
+/// rolls back every binding it added, leaving `sub` exactly as passed in —
+/// callers (the matcher's candidate loop, the chase's semi-naive seeding)
+/// reuse one substitution across attempts.
+bool UnifyAtomWithRow(const Atom& pattern, const ColumnarSegment& segment,
+                      uint32_t row, const std::unordered_set<TermId>& mappable,
+                      Substitution& sub, std::vector<TermId>* bound);
 
 }  // namespace frontiers
 

@@ -28,11 +28,13 @@ FactSet HomomorphicImage(const Substitution& sub, const FactSet& facts) {
 namespace {
 
 // Attempts to fold away a single term: a homomorphism facts -> facts
-// avoiding `victim` and fixing `fixed`.  First tries the cheap fold that
-// moves only `victim`; falls back to a full search in which every
-// non-fixed term may move.
+// avoiding `victim` and fixing `fixed`, where `pattern` is `facts`' atoms.
+// First tries the cheap fold that moves only `victim`; falls back to a full
+// search in which every non-fixed term may move.
 std::optional<Substitution> FoldAway(const Vocabulary& vocab,
-                                     const FactSet& facts, TermId victim,
+                                     const FactSet& facts,
+                                     const std::vector<Atom>& pattern,
+                                     TermId victim,
                                      const std::unordered_set<TermId>& fixed) {
   std::unordered_set<TermId> smaller_domain;
   for (TermId t : facts.Domain()) {
@@ -40,14 +42,15 @@ std::optional<Substitution> FoldAway(const Vocabulary& vocab,
   }
   FactSet target = facts.InducedOn(smaller_domain);
   // Cheap attempt: only `victim` moves, everything else is rigid.
-  {
-    Matcher matcher(vocab, target);
-    std::optional<Substitution> fold =
-        matcher.Find(facts.atoms(), {victim});
-    if (fold.has_value()) return fold;
-  }
+  Matcher matcher(vocab, target);
+  std::optional<Substitution> fold = matcher.Find(pattern, {victim});
+  if (fold.has_value()) return fold;
   // Full attempt: all non-fixed terms may move.
-  return StructureHomomorphism(vocab, facts, target, fixed);
+  std::unordered_set<TermId> mappable;
+  for (TermId t : facts.Domain()) {
+    if (fixed.count(t) == 0) mappable.insert(t);
+  }
+  return matcher.Find(pattern, mappable);
 }
 
 }  // namespace
@@ -58,10 +61,12 @@ FactSet CoreRetract(const Vocabulary& vocab, const FactSet& facts,
   bool changed = true;
   while (changed) {
     changed = false;
+    // Materialized once per retract step, not once per victim.
+    const std::vector<Atom> pattern = current.atoms();
     for (TermId victim : current.Domain()) {
       if (fixed.count(victim) > 0) continue;
       std::optional<Substitution> fold =
-          FoldAway(vocab, current, victim, fixed);
+          FoldAway(vocab, current, pattern, victim, fixed);
       if (!fold.has_value()) continue;
       current = HomomorphicImage(*fold, current);
       changed = true;

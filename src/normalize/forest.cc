@@ -50,8 +50,10 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
   auto parent_of = [&](TermId t) -> TermId {
     auto birth = chase.birth_atom.find(t);
     if (birth == chase.birth_atom.end()) return kNoTerm;  // input term
-    const Atom& atom = chase.facts.atoms()[birth->second];
-    for (TermId other : atom.args) {
+    const ColumnarSegment& seg = chase.facts.SegmentOf(birth->second);
+    const uint32_t row = chase.facts.LocalRow(birth->second);
+    for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+      const TermId other = seg.Term(row, pos);
       // The parent is any argument that was *not* born here.
       auto other_birth = chase.birth_atom.find(other);
       if (other == t) continue;
@@ -86,10 +88,12 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
     if (forest.atom_class[i] != AtomClass::kSensible) continue;
     // The child is the argument born by this atom; Observation 64 needs
     // exactly one (frontier-one existential rules).
-    const Atom& atom = chase.facts.atoms()[i];
+    const ColumnarSegment& seg = chase.facts.SegmentOf(i);
+    const uint32_t row = chase.facts.LocalRow(i);
     TermId child = kNoTerm;
     int children = 0;
-    for (TermId t : atom.args) {
+    for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+      const TermId t = seg.Term(row, pos);
       auto birth = chase.birth_atom.find(t);
       if (birth != chase.birth_atom.end() && birth->second == i) {
         child = t;

@@ -30,9 +30,7 @@ LocalityReport TestLocality(const Vocabulary& vocab, const ChaseEngine& engine,
     subset_chases.Add();
     covered.InsertAll(sub.facts);
   }
-  for (const Atom& atom : reference.atoms()) {
-    if (!covered.Contains(atom)) report.uncovered.push_back(atom);
-  }
+  report.uncovered = reference.Difference(covered);
   return report;
 }
 

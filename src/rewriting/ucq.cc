@@ -49,14 +49,6 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
   return {answers.begin(), answers.end()};
 }
 
-bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query,
-                   Ucq* ucq) {
-  IncomparableQuerySet set(vocab, std::move(ucq->disjuncts));
-  const bool inserted = set.Insert(std::move(query));
-  ucq->disjuncts = std::move(set).TakeQueries();
-  return inserted;
-}
-
 bool EquivalentUcqs(const Vocabulary& vocab, const Ucq& a, const Ucq& b) {
   if (a.always_true || b.always_true) {
     return a.always_true == b.always_true;

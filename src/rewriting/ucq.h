@@ -41,11 +41,6 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
                                              const Ucq& ucq,
                                              const FactSet& facts);
 
-/// Inserts `query` unless an existing disjunct contains it; removes
-/// disjuncts the new query contains (Theorem 1 minimality).  Returns true
-/// if the query was inserted.
-bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query, Ucq* ucq);
-
 /// True if the two UCQs agree on every instance, checked by mutual
 /// disjunct containment (sound and complete for UCQs).
 bool EquivalentUcqs(const Vocabulary& vocab, const Ucq& a, const Ucq& b);

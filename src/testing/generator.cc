@@ -307,10 +307,9 @@ ConjunctiveQuery GenerateQuery(Vocabulary& vocab,
 
 std::string FactsToText(const Vocabulary& vocab, const FactSet& facts) {
   std::string out;
-  const std::vector<Atom>& atoms = facts.atoms();
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if (i > 0) out += ",\n";
-    out += AtomToString(vocab, atoms[i]);
+  for (uint32_t id = 0; id < facts.size(); ++id) {
+    if (id > 0) out += ",\n";
+    out += AtomToString(vocab, facts.AtomAt(id));
   }
   out += "\n";
   return out;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "base/columnar.h"
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "base/worker_pool.h"
 #include "catalog/instances.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
@@ -121,41 +123,98 @@ std::vector<Atom> RandomAtoms(Vocabulary& vocab, size_t count,
   return out;
 }
 
+// Every insert path — single rows, the serial batch, and the parallel batch
+// at {1,4} threads x {1,8} shards, each fed in several blocks so batches
+// dedup against resident rows — must build the oracle's store.  The oracle
+// is the test's own list of inserted atoms; the store keeps one copy of
+// each atom (its segment rows), so every check reads that copy.
 TEST(ColumnarStore, AgreesWithRowStoreOracleUnderDuplicateHeavyInserts) {
   Vocabulary vocab;
   std::vector<Atom> workload = RandomAtoms(vocab, 2000, 0xC0FFEE);
-  FactSet store;
   RowStoreOracle oracle;
-  for (const Atom& atom : workload) {
-    EXPECT_EQ(store.Insert(atom), oracle.Insert(atom));
-  }
-  ASSERT_EQ(store.size(), oracle.atoms.size());
-  EXPECT_EQ(store.atoms(), oracle.atoms) << "insertion order must match";
-  EXPECT_EQ(store.Domain(), oracle.Domain()) << "first-occurrence order";
+  std::vector<bool> oracle_new;
+  for (const Atom& atom : workload) oracle_new.push_back(oracle.Insert(atom));
 
-  for (TermId t = 0; t < 64; ++t) {
-    EXPECT_EQ(store.AtomDegree(t), oracle.AtomDegree(t)) << "term " << t;
-    EXPECT_EQ(store.ContainsTerm(t), oracle.AtomDegree(t) > 0) << "term " << t;
-  }
-  for (PredicateId p = 0; p < 4; ++p) {
-    EXPECT_EQ(store.ByPredicate(p), oracle.ByPredicate(p));
-    for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
-      for (TermId t = 0; t < 16; ++t) {
-        EXPECT_EQ(Materialize(store.ByPredicatePositionTerm(p, pos, t)),
-                  oracle.ByPredicatePositionTerm(p, pos, t))
-            << "p=" << p << " pos=" << pos << " t=" << t;
+  struct Path {
+    std::string name;
+    std::function<void(FactSet&, const std::vector<Atom>&)> fill;
+  };
+  std::vector<Path> paths = {
+      {"InsertRow",
+       [&](FactSet& store, const std::vector<Atom>& atoms) {
+         for (size_t i = 0; i < atoms.size(); ++i) {
+           const Atom& a = atoms[i];
+           EXPECT_EQ(store.InsertRow(a.predicate, a.args.data(),
+                                     static_cast<uint32_t>(a.args.size()))
+                         .inserted,
+                     oracle_new[i])
+               << "row " << i;
+         }
+       }}};
+  // Blocks of 300 rows: several batches, each with fresh and resident
+  // duplicates.
+  auto fill_in_blocks = [](WorkerPool* pool, bool parallel) {
+    return [pool, parallel](FactSet& store, const std::vector<Atom>& atoms) {
+      for (size_t begin = 0; begin < atoms.size(); begin += 300) {
+        RowBlock block;
+        for (size_t i = begin; i < std::min(atoms.size(), begin + 300); ++i) {
+          block.Append(atoms[i].predicate, atoms[i].args.data(),
+                       atoms[i].args.size());
+        }
+        if (parallel) {
+          store.InsertBatchParallel(block, nullptr, pool);
+        } else {
+          store.InsertBatch(block, nullptr);
+        }
       }
-    }
+    };
+  };
+  paths.push_back({"InsertBatch", fill_in_blocks(nullptr, false)});
+  WorkerPool pool1(1), pool4(4);
+  for (WorkerPool* pool : {&pool1, &pool4}) {
+    paths.push_back({"InsertBatchParallel/threads=" +
+                         std::to_string(pool->threads()),
+                     fill_in_blocks(pool, true)});
   }
-  // Lookup round-trips: every stored atom is found at its own index, and
-  // the columnar segment mirrors the row store term for term.
-  for (uint32_t i = 0; i < store.size(); ++i) {
-    const Atom& atom = store.atoms()[i];
-    EXPECT_EQ(store.IndexOf(atom), std::optional<uint32_t>(i));
-    const ColumnarSegment* seg = store.Segment(atom.predicate);
-    ASSERT_NE(seg, nullptr);
-    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
-      EXPECT_EQ(seg->Term(store.LocalRow(i), pos), atom.args[pos]);
+
+  for (const Path& path : paths) {
+    for (uint32_t shards : {1u, 8u}) {
+      SCOPED_TRACE(path.name + " shards=" + std::to_string(shards));
+      FactSet store(shards);
+      path.fill(store, workload);
+      ASSERT_EQ(store.size(), oracle.atoms.size());
+      EXPECT_EQ(std::vector<Atom>(store.atoms()), oracle.atoms)
+          << "insertion order must match";
+      EXPECT_EQ(store.Domain(), oracle.Domain()) << "first-occurrence order";
+
+      for (TermId t = 0; t < 64; ++t) {
+        EXPECT_EQ(store.AtomDegree(t), oracle.AtomDegree(t)) << "term " << t;
+        EXPECT_EQ(store.ContainsTerm(t), oracle.AtomDegree(t) > 0)
+            << "term " << t;
+      }
+      for (PredicateId p = 0; p < 4; ++p) {
+        EXPECT_EQ(store.ByPredicate(p), oracle.ByPredicate(p));
+        for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+          for (TermId t = 0; t < 16; ++t) {
+            EXPECT_EQ(Materialize(store.ByPredicatePositionTerm(p, pos, t)),
+                      oracle.ByPredicatePositionTerm(p, pos, t))
+                << "p=" << p << " pos=" << pos << " t=" << t;
+          }
+        }
+      }
+      // Lookup round-trips: every oracle atom is found at its own id, and
+      // that id's predicate and segment row hold exactly its terms.
+      for (uint32_t i = 0; i < oracle.atoms.size(); ++i) {
+        const Atom& atom = oracle.atoms[i];
+        EXPECT_EQ(store.IndexOf(atom), std::optional<uint32_t>(i));
+        EXPECT_EQ(store.PredicateOf(i), atom.predicate) << "atom " << i;
+        const ColumnarSegment* seg = store.Segment(atom.predicate);
+        ASSERT_NE(seg, nullptr);
+        ASSERT_EQ(&store.SegmentOf(i), seg);
+        for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+          EXPECT_EQ(seg->Term(store.LocalRow(i), pos), atom.args[pos]);
+        }
+      }
     }
   }
 }

@@ -43,7 +43,19 @@ class HomTest : public ::testing::Test {
 
 // --------------------------------------------------------------- Matcher --
 
-TEST_F(HomTest, UnifyAtomWithFactRollsBackPartialBindingsOnFailure) {
+// Unifies `pattern` with `fact` as the matcher and the chase do: against
+// the fact's row in a fact store's columnar segment.
+bool UnifyWithStoredFact(const Atom& pattern, const Atom& fact,
+                         const std::unordered_set<TermId>& mappable,
+                         Substitution& sub) {
+  FactSet store;
+  store.Insert(fact);
+  std::vector<TermId> bound;
+  return UnifyAtomWithRow(pattern, store.SegmentOf(0), store.LocalRow(0),
+                          mappable, sub, &bound);
+}
+
+TEST_F(HomTest, UnifyAtomWithRowRollsBackPartialBindingsOnFailure) {
   // Regression: a mid-atom mismatch used to leave the bindings made before
   // the mismatch in `sub`, so reusing one substitution across a failing
   // then a succeeding unification poisoned the second attempt.
@@ -54,17 +66,17 @@ TEST_F(HomTest, UnifyAtomWithFactRollsBackPartialBindingsOnFailure) {
   // Pattern E(x, x): unifying with E(A, B) binds x=A, then fails on B.
   Atom pattern(e, {x, x});
   Substitution sub;
-  EXPECT_FALSE(UnifyAtomWithFact(pattern, Atom(e, {C("A"), C("B")}), mappable,
-                                 sub));
+  EXPECT_FALSE(UnifyWithStoredFact(pattern, Atom(e, {C("A"), C("B")}),
+                                   mappable, sub));
   EXPECT_TRUE(sub.empty()) << "failed unification must not leave bindings";
   // The same substitution must now accept E(B, B) with x=B.
-  EXPECT_TRUE(UnifyAtomWithFact(pattern, Atom(e, {C("B"), C("B")}), mappable,
-                                sub));
+  EXPECT_TRUE(UnifyWithStoredFact(pattern, Atom(e, {C("B"), C("B")}),
+                                  mappable, sub));
   ASSERT_EQ(sub.size(), 1u);
   EXPECT_EQ(sub.at(x), C("B"));
 }
 
-TEST_F(HomTest, UnifyAtomWithFactKeepsPreexistingBindingsOnFailure) {
+TEST_F(HomTest, UnifyAtomWithRowKeepsPreexistingBindingsOnFailure) {
   PredicateId e = vocab_.AddPredicate("E", 2);
   TermId x = vocab_.Variable("x");
   TermId y = vocab_.Variable("y");
@@ -72,8 +84,8 @@ TEST_F(HomTest, UnifyAtomWithFactKeepsPreexistingBindingsOnFailure) {
   Substitution sub = {{x, C("A")}};
   // E(y, x) against E(B, D): binds y=B, then x=A != D fails; the rollback
   // must remove y's binding but keep the caller's x binding.
-  EXPECT_FALSE(UnifyAtomWithFact(Atom(e, {y, x}), Atom(e, {C("B"), C("D")}),
-                                 mappable, sub));
+  EXPECT_FALSE(UnifyWithStoredFact(Atom(e, {y, x}), Atom(e, {C("B"), C("D")}),
+                                   mappable, sub));
   ASSERT_EQ(sub.size(), 1u);
   EXPECT_EQ(sub.at(x), C("A"));
 }
@@ -113,17 +125,19 @@ TEST_F(HomTest, WrongArityAnswerIsRejected) {
   EXPECT_FALSE(Holds(vocab_, q, facts, {C("A"), C("B")}));
 }
 
-TEST_F(HomTest, UnifyAtomWithFactBindsAndChecks) {
+TEST_F(HomTest, UnifyAtomWithRowBindsAndChecks) {
   FactSet facts = Facts("E(A,B)");
   ConjunctiveQuery q = Query("E(x,x)");
   Substitution sub;
   std::unordered_set<TermId> mappable = {vocab_.Variable("x")};
-  EXPECT_FALSE(
-      UnifyAtomWithFact(q.atoms[0], facts.atoms()[0], mappable, sub));
+  std::vector<TermId> bound;
+  EXPECT_FALSE(UnifyAtomWithRow(q.atoms[0], facts.SegmentOf(0),
+                                facts.LocalRow(0), mappable, sub, &bound));
   FactSet loop = Facts("E(D,D)");
   Substitution sub2;
-  EXPECT_TRUE(
-      UnifyAtomWithFact(q.atoms[0], loop.atoms()[0], mappable, sub2));
+  EXPECT_TRUE(UnifyAtomWithRow(q.atoms[0], loop.SegmentOf(0),
+                               loop.LocalRow(0), mappable, sub2, &bound));
+  EXPECT_EQ(bound, std::vector<TermId>{vocab_.Variable("x")});
   EXPECT_EQ(Apply(sub2, vocab_.Variable("x")), C("D"));
 }
 

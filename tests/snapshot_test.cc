@@ -280,10 +280,12 @@ TEST(SnapshotTest, FreshProcessResumeMatchesUninterruptedRun) {
   }
 }
 
-// A version-2 snapshot shares v3's layout but its approx_bytes came from
-// the string-keyed memo's ledger.  It still decodes, and Resume recomputes
-// the figure instead of checking it, landing on the uninterrupted run.
-TEST(SnapshotTest, VersionTwoSnapshotResumesToUninterruptedRun) {
+// Version-2 and version-3 snapshots share v4's layout, but their
+// approx_bytes came from earlier ledgers (v2: the string-keyed memo; v3:
+// the fact store's row copy of every atom).  They still decode, and Resume
+// recomputes the figure instead of checking it, landing on the
+// uninterrupted run.
+TEST(SnapshotTest, OlderVersionSnapshotsResumeToUninterruptedRun) {
   constexpr uint32_t kTargetRounds = 4;
   ChaseResult reference;
   {
@@ -291,43 +293,48 @@ TEST(SnapshotTest, VersionTwoSnapshotResumesToUninterruptedRun) {
     ChaseEngine engine(w.vocab, w.theory);
     reference = engine.Run(w.db, Workload::Options(kTargetRounds));
   }
-  std::string wire;
+  std::string current_wire;
   {
     Workload w;
-    wire = EncodeSnapshot(InterruptedSnapshot(w, 2));
+    current_wire = EncodeSnapshot(InterruptedSnapshot(w, 2));
   }
-  ASSERT_EQ(static_cast<uint8_t>(wire[4]), kSnapshotFormatVersion);
-  wire[4] = 2;
-  Result<ChaseSnapshot> decoded = DecodeSnapshot(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.message();
-  ChaseSnapshot v2 = decoded.value();
-  EXPECT_EQ(v2.format_version, 2);
-  EXPECT_EQ(EncodeSnapshot(v2), wire);  // re-encodes as what it is
-  v2.approx_bytes += 977;  // a figure from the old ledger
+  ASSERT_EQ(static_cast<uint8_t>(current_wire[4]), kSnapshotFormatVersion);
+  for (const uint16_t version : {2, 3}) {
+    SCOPED_TRACE("FRSN v" + std::to_string(version));
+    std::string wire = current_wire;
+    wire[4] = static_cast<char>(version);
+    Result<ChaseSnapshot> decoded = DecodeSnapshot(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.message();
+    ChaseSnapshot old = decoded.value();
+    EXPECT_EQ(old.format_version, version);
+    EXPECT_EQ(EncodeSnapshot(old), wire);  // re-encodes as what it is
+    old.approx_bytes += 977;  // a figure from an older ledger
 
-  Workload w;
-  ASSERT_TRUE(ApplySnapshotVocabulary(v2, w.vocab).ok());
-  ChaseEngine engine(w.vocab, w.theory);
-  const ChaseResult resumed =
-      engine.Resume(v2, Workload::Options(kTargetRounds));
-  EXPECT_EQ(resumed.stop, reference.stop);
-  EXPECT_EQ(resumed.facts.atoms(), reference.facts.atoms());
-  EXPECT_EQ(resumed.depth, reference.depth);
-  EXPECT_EQ(resumed.seen_applications, reference.seen_applications);
-  EXPECT_EQ(resumed.approx_bytes, reference.approx_bytes);
-  ASSERT_EQ(resumed.stats.rounds.size(), reference.stats.rounds.size());
-  for (size_t i = 0; i < resumed.stats.rounds.size(); ++i) {
-    EXPECT_EQ(resumed.stats.rounds[i].deduped,
-              reference.stats.rounds[i].deduped);
-    EXPECT_EQ(resumed.stats.rounds[i].committed,
-              reference.stats.rounds[i].committed);
+    Workload w;
+    ASSERT_TRUE(ApplySnapshotVocabulary(old, w.vocab).ok());
+    ChaseEngine engine(w.vocab, w.theory);
+    const ChaseResult resumed =
+        engine.Resume(old, Workload::Options(kTargetRounds));
+    EXPECT_EQ(resumed.stop, reference.stop);
+    EXPECT_EQ(resumed.facts.atoms(), reference.facts.atoms());
+    EXPECT_EQ(resumed.depth, reference.depth);
+    EXPECT_EQ(resumed.seen_applications, reference.seen_applications);
+    EXPECT_EQ(resumed.approx_bytes, reference.approx_bytes);
+    ASSERT_EQ(resumed.stats.rounds.size(), reference.stats.rounds.size());
+    for (size_t i = 0; i < resumed.stats.rounds.size(); ++i) {
+      EXPECT_EQ(resumed.stats.rounds[i].deduped,
+                reference.stats.rounds[i].deduped);
+      EXPECT_EQ(resumed.stats.rounds[i].committed,
+                reference.stats.rounds[i].committed);
+    }
+
+    // The same figure in a current-version snapshot is an accounting bug,
+    // and aborts.
+    ChaseSnapshot current = old;
+    current.format_version = kSnapshotFormatVersion;
+    EXPECT_DEATH(engine.Resume(current, Workload::Options(kTargetRounds)),
+                 "approx_bytes");
   }
-
-  // The same figure in a v3 snapshot is an accounting bug, and aborts.
-  ChaseSnapshot v3 = v2;
-  v3.format_version = kSnapshotFormatVersion;
-  EXPECT_DEATH(engine.Resume(v3, Workload::Options(kTargetRounds)),
-               "approx_bytes");
 }
 
 // Resume parses the memo keys and rejects any that this engine's rules

@@ -2,6 +2,7 @@
 
 #include "base/vocabulary.h"
 #include "gaifman/dot.h"
+#include "hom/query_ops.h"
 #include "rewriting/ucq.h"
 #include "tgd/parser.h"
 
@@ -46,16 +47,16 @@ TEST_F(UcqTest, EvaluateUnionsAnswers) {
   ASSERT_EQ(answers.size(), 2u);
 }
 
-TEST_F(UcqTest, InsertMinimalDropsSubsumed) {
-  Ucq ucq;
-  EXPECT_TRUE(InsertMinimal(vocab_, Query("E(x,y), E(y,z)"), &ucq));
+TEST_F(UcqTest, IncomparableQuerySetDropsSubsumed) {
+  IncomparableQuerySet set(vocab_);
+  EXPECT_TRUE(set.Insert(Query("E(x,y), E(y,z)")));
   // The more general single-atom query replaces the path.
-  EXPECT_TRUE(InsertMinimal(vocab_, Query("E(x,y)"), &ucq));
-  EXPECT_EQ(ucq.size(), 1u);
-  EXPECT_EQ(ucq.disjuncts[0].size(), 1u);
+  EXPECT_TRUE(set.Insert(Query("E(x,y)")));
   // Re-inserting something the set already covers is a no-op.
-  EXPECT_FALSE(InsertMinimal(vocab_, Query("E(u,v), E(v,w)"), &ucq));
-  EXPECT_EQ(ucq.size(), 1u);
+  EXPECT_FALSE(set.Insert(Query("E(u,v), E(v,w)")));
+  const std::vector<ConjunctiveQuery> members = std::move(set).TakeQueries();
+  ASSERT_EQ(members.size(), 1u);
+  EXPECT_EQ(members[0].size(), 1u);
 }
 
 TEST_F(UcqTest, EquivalenceUpToContainment) {
